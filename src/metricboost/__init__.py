@@ -2,9 +2,7 @@
 
 from .boosting import (
     PairBatch,
-    PairItem,
     TripletBatch,
-    TripletItem,
     accumulate_plain_gradient,
     accumulate_W_gradient,
     boost_backward_pair,

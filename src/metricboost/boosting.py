@@ -10,43 +10,27 @@ constants by the gradient: nothing differentiates through the reweighting.
 Triplets keep two accumulators, one for the positive and one for the negative
 pair, and the hinge derivative turns the weight into exactly 0 or 1.
 
-`accumulate_W_gradient` applies the chain rule through cosine similarity and
-the (optionally backbone-fronted) linear embedding for a whole mined batch at
-once; items whose embedding collapses to zero norm in any group are skipped
-and counted rather than raising.
+`accumulate_W_gradient` backpropagates a whole mined batch through one
+similarity-matrix kernel, the form used by Lifted Structured and
+Multi-Similarity losses. Each group's embedding rows are normalized once and
+multiplied into a Gram matrix of all cosine scores of the batch; pair and
+triplet scores are gathered from it, and the weighted loss derivatives are
+scattered back into an n x n coefficient matrix, so the gradient costs two
+matrix products per group and O(n^2 + n*d) memory, whatever the number of
+mined items. Items whose embedding collapses to zero norm in any group are
+skipped and counted rather than raising. `accumulate_plain_gradient`, the
+unboosted baseline, is the same kernel on a one-group view of the model.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import cosine_sim_grad_batch
-from .errors import InvalidArgument
+# cosine_sim_grad_batch is not called here; it stays bound in this module
+# because perfbench/spans.py patches it by this module's name.
+from .ensemble import GroupPartition, cosine_sim_grad_batch, make_schedule  # noqa: F401
+from .errors import InvalidArgument, NumericFailure
 from .losses import boosting_weight_vec, pair_loss_vec, triplet_loss_vec
-
-
-@dataclass(frozen=True)
-class PairItem:
-    index_a: int
-    index_b: int
-    y: int
-
-    def __post_init__(self):
-        if self.index_a == self.index_b:
-            raise InvalidArgument("a pair needs two distinct samples")
-        if self.y not in (0, 1):
-            raise InvalidArgument("pair label must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class TripletItem:
-    anchor: int
-    positive: int
-    negative: int
-
-    def __post_init__(self):
-        if len({self.anchor, self.positive, self.negative}) != 3:
-            raise InvalidArgument("a triplet needs three distinct samples")
 
 
 @dataclass
@@ -69,14 +53,6 @@ class PairBatch:
     def __len__(self):
         return len(self.y)
 
-    @classmethod
-    def from_items(cls, items):
-        return cls(
-            np.array([p.index_a for p in items], dtype=np.intp),
-            np.array([p.index_b for p in items], dtype=np.intp),
-            np.array([p.y for p in items], dtype=np.int64),
-        )
-
 
 @dataclass
 class TripletBatch:
@@ -90,17 +66,12 @@ class TripletBatch:
         self.negative = np.asarray(self.negative, dtype=np.intp)
         if not (len(self.anchor) == len(self.positive) == len(self.negative)):
             raise InvalidArgument("triplet arrays must have equal length")
+        if np.any((self.anchor == self.positive) | (self.anchor == self.negative)
+                  | (self.positive == self.negative)):
+            raise InvalidArgument("triplets must join three distinct samples")
 
     def __len__(self):
         return len(self.anchor)
-
-    @classmethod
-    def from_items(cls, items):
-        return cls(
-            np.array([t.anchor for t in items], dtype=np.intp),
-            np.array([t.positive for t in items], dtype=np.intp),
-            np.array([t.negative for t in items], dtype=np.intp),
-        )
 
 
 @dataclass
@@ -217,27 +188,6 @@ class GradResult:
     n_skipped: int
 
 
-def _group_cosine(F, partition, idx_u, idx_v):
-    """Per-group cosine scores and input gradients for index pairs into F.
-
-    Returns (scores (n, M), grads_u (n, d), grads_v (n, d), valid (n,)) where
-    the gradient rows live in the group's column slice.
-    """
-    n = len(idx_u)
-    M = partition.num_groups
-    scores = np.empty((n, M))
-    grads_u = np.empty((n, partition.total_dim))
-    grads_v = np.empty((n, partition.total_dim))
-    valid = np.ones(n, dtype=bool)
-    for m, sl in enumerate(partition.slices()):
-        s, du, dv, ok = cosine_sim_grad_batch(F[idx_u, sl], F[idx_v, sl])
-        scores[:, m] = s
-        grads_u[:, sl] = du
-        grads_v[:, sl] = dv
-        valid &= ok
-    return scores, grads_u, grads_v, valid
-
-
 def _finish_gradient(model, features, dF):
     """Chain dL/dF back into W and, when trainable, the backbone."""
     X = np.asarray(features, dtype=np.float64)
@@ -254,6 +204,72 @@ def _finish_gradient(model, features, dF):
     return grad_W, grad_bw, grad_bb
 
 
+def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_backbone):
+    """The gradient kernel behind both routes, for any grouping of the columns.
+
+    Per group m: unit rows U_m = F_m / r_m and Gram matrix G_m = U_m U_m^T;
+    item scores are gathered from G_m, the weighted loss derivatives are
+    scattered into an n x n coefficient matrix C_m, and with S_m = C_m + C_m^T
+    the embedding gradient is dF_m = (S_m U_m - rowsum(S_m * G_m) U_m) / r_m.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    F = model.forward_batch(X)
+    n = len(F)
+    slices = part.slices()
+    norms = np.stack([np.linalg.norm(F[:, sl], axis=1) for sl in slices], axis=-1)
+    finite = np.isfinite(norms).all(axis=0)
+    if not finite.all():
+        raise NumericFailure(
+            f"non-finite embedding norm in group {int(np.flatnonzero(~finite)[0])}"
+        )
+    row_ok = np.all(norms > 0.0, axis=1)
+    norms[norms == 0.0] = 1.0  # zero rows only occur in skipped items
+    U = np.empty_like(F)
+    for m, sl in enumerate(slices):
+        U[:, sl] = F[:, sl] / norms[:, m, None]
+    G = np.stack([U[:, sl] @ U[:, sl].T for sl in slices])  # (M, n, n)
+
+    if isinstance(batch, PairBatch):
+        rows, cols, y = batch.index_a, batch.index_b, batch.y
+        valid = row_ok[rows] & row_ok[cols]
+    elif isinstance(batch, TripletBatch):
+        if spec.kind != "triplet":
+            raise InvalidArgument("triplet batches need a triplet loss spec")
+        ia, ip, ineg = batch.anchor, batch.positive, batch.negative
+        valid = row_ok[ia] & row_ok[ip] & row_ok[ineg]
+    else:
+        raise InvalidArgument(f"unsupported batch type {type(batch).__name__}")
+    n_used = int(valid.sum())
+    n_skipped = len(valid) - n_used
+    if n_used == 0:
+        return GradResult(np.zeros_like(model.W), None, None, 0.0, 0, n_skipped)
+
+    if isinstance(batch, PairBatch):
+        rows, cols, y = rows[valid], cols[valid], y[valid]
+        trace = boost_backward_pair(spec, schedule, G[:, rows, cols].T, y, signed=signed)
+        coeff = trace.weighted_dloss
+    else:
+        ia, ip, ineg = ia[valid], ip[valid], ineg[valid]
+        trace = boost_step_triplet(spec, schedule, G[:, ia, ip].T, G[:, ia, ineg].T)
+        rows, cols = np.concatenate([ia, ia]), np.concatenate([ip, ineg])
+        coeff = np.concatenate([trace.weighted_dpos, trace.weighted_dneg])
+    loss = float(np.mean(np.sum(trace.weights * trace.losses, axis=-1)))
+
+    cell = rows * n + cols  # bincount sums repeated items
+    dF = np.empty_like(F)
+    for m, sl in enumerate(slices):
+        C = np.bincount(cell, weights=coeff[:, m] / n_used, minlength=n * n).reshape(n, n)
+        S = C + C.T
+        radial = np.einsum("ij,ij->i", S, G[m])
+        dF[:, sl] = (S @ U[:, sl] - radial[:, None] * U[:, sl]) / norms[:, m, None]
+
+    if train_backbone and model.backbone is not None:
+        grad_W, grad_bw, grad_bb = _finish_gradient(model, X, dF)
+    else:
+        grad_W, grad_bw, grad_bb = model.embed_features(X).T @ dF, None, None
+    return GradResult(grad_W, grad_bw, grad_bb, loss, n_used, n_skipped)
+
+
 def accumulate_W_gradient(model, features, batch, spec, signed=False, train_backbone=False):
     """Gradient of the mean reweighted metric loss over a mined batch.
 
@@ -261,125 +277,19 @@ def accumulate_W_gradient(model, features, batch, spec, signed=False, train_back
     TripletBatch of indices into those rows. Weights w^m are computed from the
     current forward pass and frozen; the returned gradient is exact for the
     objective with those weights held constant. Items with a zero-norm group
-    embedding are dropped and counted in n_skipped.
+    embedding are dropped and counted in n_skipped; a non-finite group norm
+    raises NumericFailure.
     """
-    X = np.asarray(features, dtype=np.float64)
-    F = model.forward_batch(X)
-    part = model.partition
-    d = part.total_dim
-    dF = np.zeros_like(F)
-
-    if isinstance(batch, PairBatch):
-        idx_a, idx_b, y = batch.index_a, batch.index_b, batch.y
-        scores, gU, gV, valid = _group_cosine(F, part, idx_a, idx_b)
-        n_used = int(valid.sum())
-        n_skipped = len(valid) - n_used
-        if n_used == 0:
-            return GradResult(np.zeros_like(model.W), None, None, 0.0, 0, n_skipped)
-        idx_a, idx_b, y = idx_a[valid], idx_b[valid], y[valid]
-        scores, gU, gV = scores[valid], gU[valid], gV[valid]
-        trace = boost_backward_pair(spec, model.schedule, scores, y, signed=signed)
-        coeff = trace.weighted_dloss / n_used  # (n, M)
-        dFa = np.empty((n_used, d))
-        dFb = np.empty((n_used, d))
-        for m, sl in enumerate(part.slices()):
-            dFa[:, sl] = coeff[:, m, None] * gU[:, sl]
-            dFb[:, sl] = coeff[:, m, None] * gV[:, sl]
-        np.add.at(dF, idx_a, dFa)
-        np.add.at(dF, idx_b, dFb)
-        loss = float(np.mean(np.sum(trace.weights * trace.losses, axis=-1)))
-    elif isinstance(batch, TripletBatch):
-        if spec.kind != "triplet":
-            raise InvalidArgument("triplet batches need a triplet loss spec")
-        ia, ip, ineg = batch.anchor, batch.positive, batch.negative
-        s_pos, gAp, gP, ok_p = _group_cosine(F, part, ia, ip)
-        s_neg, gAn, gN, ok_n = _group_cosine(F, part, ia, ineg)
-        valid = ok_p & ok_n
-        n_used = int(valid.sum())
-        n_skipped = len(valid) - n_used
-        if n_used == 0:
-            return GradResult(np.zeros_like(model.W), None, None, 0.0, 0, n_skipped)
-        ia, ip, ineg = ia[valid], ip[valid], ineg[valid]
-        s_pos, s_neg = s_pos[valid], s_neg[valid]
-        gAp, gP, gAn, gN = gAp[valid], gP[valid], gAn[valid], gN[valid]
-        trace = boost_step_triplet(spec, model.schedule, s_pos, s_neg)
-        cp = trace.weighted_dpos / n_used
-        cn = trace.weighted_dneg / n_used
-        dA = np.empty((n_used, d))
-        dP = np.empty((n_used, d))
-        dN = np.empty((n_used, d))
-        for m, sl in enumerate(part.slices()):
-            dA[:, sl] = cp[:, m, None] * gAp[:, sl] + cn[:, m, None] * gAn[:, sl]
-            dP[:, sl] = cp[:, m, None] * gP[:, sl]
-            dN[:, sl] = cn[:, m, None] * gN[:, sl]
-        np.add.at(dF, ia, dA)
-        np.add.at(dF, ip, dP)
-        np.add.at(dF, ineg, dN)
-        loss = float(np.mean(np.sum(trace.weights * trace.losses, axis=-1)))
-    else:
-        raise InvalidArgument(f"unsupported batch type {type(batch).__name__}")
-
-    want_backbone = train_backbone and model.backbone is not None
-    if want_backbone:
-        grad_W, grad_bw, grad_bb = _finish_gradient(model, X, dF)
-    else:
-        phi = model.embed_features(X)
-        grad_W, grad_bw, grad_bb = phi.T @ dF, None, None
-    return GradResult(grad_W, grad_bw, grad_bb, loss, n_used, n_skipped)
+    return _gram_gradient(model, model.partition, model.schedule, features, batch,
+                          spec, signed, train_backbone)
 
 
 def accumulate_plain_gradient(model, features, batch, spec, train_backbone=False):
     """Baseline route: one global loss on the full embedding, no reweighting.
 
-    Used for reduction-equivalence checks and for training unpartitioned
-    baselines; deliberately bypasses all boosting machinery.
+    The same kernel on a one-group view of the model (all d columns, one
+    learner), so at M=1 it is bit-identical to the boosted route.
     """
-    X = np.asarray(features, dtype=np.float64)
-    F = model.forward_batch(X)
-    dF = np.zeros_like(F)
-
-    if isinstance(batch, PairBatch):
-        idx_a, idx_b, y = batch.index_a, batch.index_b, batch.y
-        s, gU, gV, valid = cosine_sim_grad_batch(F[idx_a], F[idx_b])
-        n_used = int(valid.sum())
-        n_skipped = len(valid) - n_used
-        if n_used == 0:
-            return GradResult(np.zeros_like(model.W), None, None, 0.0, 0, n_skipped)
-        idx_a, idx_b, y = idx_a[valid], idx_b[valid], y[valid]
-        s, gU, gV = s[valid], gU[valid], gV[valid]
-        losses, dloss = pair_loss_vec(spec, s, y)
-        coeff = dloss / n_used
-        np.add.at(dF, idx_a, coeff[:, None] * gU)
-        np.add.at(dF, idx_b, coeff[:, None] * gV)
-        loss = float(np.mean(losses))
-    elif isinstance(batch, TripletBatch):
-        if spec.kind != "triplet":
-            raise InvalidArgument("triplet batches need a triplet loss spec")
-        ia, ip, ineg = batch.anchor, batch.positive, batch.negative
-        s_pos, gAp, gP, ok_p = cosine_sim_grad_batch(F[ia], F[ip])
-        s_neg, gAn, gN, ok_n = cosine_sim_grad_batch(F[ia], F[ineg])
-        valid = ok_p & ok_n
-        n_used = int(valid.sum())
-        n_skipped = len(valid) - n_used
-        if n_used == 0:
-            return GradResult(np.zeros_like(model.W), None, None, 0.0, 0, n_skipped)
-        ia, ip, ineg = ia[valid], ip[valid], ineg[valid]
-        s_pos, s_neg = s_pos[valid], s_neg[valid]
-        gAp, gP, gAn, gN = gAp[valid], gP[valid], gAn[valid], gN[valid]
-        losses, dpos, dneg = triplet_loss_vec(spec, s_pos, s_neg)
-        cp = dpos / n_used
-        cn = dneg / n_used
-        np.add.at(dF, ia, cp[:, None] * gAp + cn[:, None] * gAn)
-        np.add.at(dF, ip, cp[:, None] * gP)
-        np.add.at(dF, ineg, cn[:, None] * gN)
-        loss = float(np.mean(losses))
-    else:
-        raise InvalidArgument(f"unsupported batch type {type(batch).__name__}")
-
-    want_backbone = train_backbone and model.backbone is not None
-    if want_backbone:
-        grad_W, grad_bw, grad_bb = _finish_gradient(model, X, dF)
-    else:
-        phi = model.embed_features(X)
-        grad_W, grad_bw, grad_bb = phi.T @ dF, None, None
-    return GradResult(grad_W, grad_bw, grad_bb, loss, n_used, n_skipped)
+    whole = GroupPartition((model.embedding_dim,))
+    return _gram_gradient(model, whole, make_schedule(1), features, batch,
+                          spec, False, train_backbone)

@@ -1,10 +1,18 @@
 """Independent brute-force oracles used by the test suite.
 
 These deliberately avoid the library's vectorized code paths: plain Python
-loops and sorts only, so they can vouch for the fast implementations.
+loops and sorts only, so they can vouch for the fast implementations. The
+exception is `per_pair_gradient`, the earlier boosting kernel kept as a
+reference for the Gram-matrix one: it builds a cosine gradient row per item
+and endpoint and scatters them with np.add.at.
 """
 
 import math
+
+import numpy as np
+
+from metricboost.boosting import PairBatch, boost_backward_pair, boost_step_triplet
+from metricboost.ensemble import cosine_sim_grad_batch
 
 
 def brute_force_recall(embeddings, labels, k):
@@ -38,3 +46,60 @@ def pearson_by_hand(a, b):
 def central_difference(f, x0, h=1e-6):
     """Scalar central difference."""
     return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
+
+
+def _group_cosine(F, partition, idx_u, idx_v):
+    """Per-group scores (n, M), gradient rows (n, d) for both ends, validity."""
+    n = len(idx_u)
+    scores = np.empty((n, partition.num_groups))
+    grads_u = np.empty((n, partition.total_dim))
+    grads_v = np.empty((n, partition.total_dim))
+    valid = np.ones(n, dtype=bool)
+    for m, sl in enumerate(partition.slices()):
+        s, du, dv, ok = cosine_sim_grad_batch(F[idx_u, sl], F[idx_v, sl])
+        scores[:, m] = s
+        grads_u[:, sl] = du
+        grads_v[:, sl] = dv
+        valid &= ok
+    return scores, grads_u, grads_v, valid
+
+
+def per_pair_gradient(model, X, batch, spec, signed=False, train_backbone=False):
+    """Boosted gradient by per-item cosine gradient rows and np.add.at.
+
+    Returns (grad_W, grad_backbone_weight, grad_backbone_bias, loss, n_used,
+    n_skipped), the fields of `metricboost.boosting.GradResult`.
+    """
+    F = model.forward_batch(X)
+    part, sched = model.partition, model.schedule
+    dF = np.zeros_like(F)
+    if isinstance(batch, PairBatch):
+        ends = [(batch.index_a, batch.index_b)]
+    else:
+        ends = [(batch.anchor, batch.positive), (batch.anchor, batch.negative)]
+    cos = [_group_cosine(F, part, u, v) for u, v in ends]
+    valid = np.logical_and.reduce([c[3] for c in cos])
+    n_used = int(valid.sum())
+    n_skipped = len(valid) - n_used
+    if n_used == 0:
+        return np.zeros_like(model.W), None, None, 0.0, 0, n_skipped
+    if isinstance(batch, PairBatch):
+        trace = boost_backward_pair(spec, sched, cos[0][0][valid], batch.y[valid], signed=signed)
+        coeffs = [trace.weighted_dloss / n_used]
+    else:
+        trace = boost_step_triplet(spec, sched, cos[0][0][valid], cos[1][0][valid])
+        coeffs = [trace.weighted_dpos / n_used, trace.weighted_dneg / n_used]
+    for (u, v), (_, gu, gv, _), coeff in zip(ends, cos, coeffs):
+        rows_u = np.empty((n_used, part.total_dim))
+        rows_v = np.empty((n_used, part.total_dim))
+        for m, sl in enumerate(part.slices()):
+            rows_u[:, sl] = coeff[:, m, None] * gu[valid, sl]
+            rows_v[:, sl] = coeff[:, m, None] * gv[valid, sl]
+        np.add.at(dF, u[valid], rows_u)
+        np.add.at(dF, v[valid], rows_v)
+    loss = float(np.mean(np.sum(trace.weights * trace.losses, axis=-1)))
+    if not (train_backbone and model.backbone is not None):
+        return model.embed_features(X).T @ dF, None, None, loss, n_used, n_skipped
+    phi, pre = model.backbone.forward_with_pre(X)
+    dpre = (dF @ model.W.T) * (pre > 0.0)
+    return phi.T @ dF, dpre.T @ X, dpre.sum(axis=0), loss, n_used, n_skipped

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,35 +7,43 @@ import pytest
 from metricboost.boosting import (
     GradResult,
     PairBatch,
-    PairItem,
     TripletBatch,
-    TripletItem,
     accumulate_plain_gradient,
     accumulate_W_gradient,
     boost_backward_pair,
     boost_forward_pair,
     boost_step_triplet,
 )
+from metricboost.data_io import SynthSpec, synth_gaussian
 from metricboost.ensemble import EnsembleModel, GroupPartition, init_model, make_schedule
-from metricboost.errors import InvalidArgument
+from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.linalg import make_rng
 from metricboost.losses import LossSpec, pair_loss
+from metricboost.trainer import sample_batch
+from oracles import per_pair_gradient
 
 
-class TestItems:
-    def test_pair_item_distinct(self):
+class TestBatches:
+    def test_pair_batch_distinct(self):
         with pytest.raises(InvalidArgument):
-            PairItem(3, 3, 1)
-        with pytest.raises(InvalidArgument):
-            PairItem(0, 1, 2)
+            PairBatch([0, 3], [1, 3], [0, 1])
 
-    def test_triplet_item_distinct(self):
-        with pytest.raises(InvalidArgument):
-            TripletItem(0, 0, 1)
+    def test_pair_label_checked_by_loss(self):
+        rng = make_rng(49)
+        model = _random_model(rng)
+        X = rng.standard_normal((3, 6))
+        with pytest.raises(InvalidArgument, match="labels"):
+            accumulate_W_gradient(model, X, PairBatch([0], [1], [2]), LossSpec())
 
-    def test_batch_from_items(self):
-        batch = PairBatch.from_items([PairItem(0, 1, 1), PairItem(1, 2, 0)])
+    def test_triplet_batch_distinct(self):
+        for bad in (([0], [0], [1]), ([0], [1], [0]), ([0], [1], [1])):
+            with pytest.raises(InvalidArgument):
+                TripletBatch(*bad)
+
+    def test_batch_from_arrays(self):
+        batch = PairBatch([0, 1], [1, 2], [1, 0])
         assert len(batch) == 2
+        assert batch.index_a.dtype == np.intp and batch.y.dtype == np.int64
         np.testing.assert_array_equal(batch.y, [1, 0])
 
 
@@ -216,3 +225,152 @@ class TestAccumulateGradient:
         trip = TripletBatch(np.array([0]), np.array([1]), np.array([2]))
         with pytest.raises(InvalidArgument):
             accumulate_W_gradient(model, X, trip, LossSpec())  # pair spec
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _mined(mine, max_pairs=0, seed=60):
+    """A P=4, K=3 batch mined from a synthetic set, with its feature rows."""
+    fs = synth_gaussian(SynthSpec(classes=6, per_class=5, feature_dim=6,
+                                  cluster_spread=3.0, noise=1.0, seed=seed))
+    b = sample_batch(fs, 4, 3, make_rng(seed), mine=mine, max_pairs=max_pairs)
+    return fs.features[b.indices], (b.pairs if mine == "pairs" else b.triplets)
+
+
+def _one_group_zero_rows(rng):
+    """Model and inputs where row 1 is zero in group 0 only, row 4 everywhere."""
+    model = _random_model(rng, sizes=(2, 3, 2))
+    model.W[0, :2] = 0.0
+    X = rng.standard_normal((12, 6))
+    X[1] = 0.0
+    X[1, 0] = 1.0
+    X[4] = 0.0
+    return model, X
+
+
+class TestGramKernelMatchesPerPairOracle:
+    """The Gram-matrix kernel against the per-item rows + np.add.at oracle."""
+
+    def _check(self, model, X, batch, spec, signed=False, train_backbone=False):
+        got = accumulate_W_gradient(model, X, batch, spec, signed=signed,
+                                    train_backbone=train_backbone)
+        want = per_pair_gradient(model, X, batch, spec, signed, train_backbone)
+        assert _rel(got.grad_W, want[0]) <= 1e-12
+        if train_backbone:
+            assert _rel(got.grad_backbone_weight, want[1]) <= 1e-12
+            assert _rel(got.grad_backbone_bias, want[2]) <= 1e-12
+        else:
+            assert got.grad_backbone_weight is None and want[1] is None
+        assert got.loss == pytest.approx(want[3], rel=1e-12, abs=0.0)
+        assert (got.n_used, got.n_skipped) == want[4:]
+        return got
+
+    @pytest.mark.parametrize("kind", ["binomial_deviance", "contrastive"])
+    def test_pair_losses(self, kind):
+        X, pairs = _mined("pairs")
+        model = _random_model(make_rng(61))
+        self._check(model, X, pairs, LossSpec(kind=kind))
+
+    def test_triplets(self):
+        X, triplets = _mined("triplets")
+        model = _random_model(make_rng(62))
+        self._check(model, X, triplets, LossSpec(kind="triplet", margin_triplet=0.3))
+
+    def test_signed_weights(self):
+        X, pairs = _mined("pairs")
+        model = _random_model(make_rng(63))
+        self._check(model, X, pairs, LossSpec(), signed=True)
+
+    @pytest.mark.parametrize("mine", ["pairs", "triplets"])
+    def test_trainable_backbone(self, mine):
+        X, batch = _mined(mine)
+        rng = make_rng(64)
+        model = _random_model(rng, backbone=True)
+        X = np.hstack([X, rng.standard_normal((len(X), 1))])
+        spec = LossSpec(kind="triplet", margin_triplet=0.3) if mine == "triplets" else LossSpec()
+        self._check(model, X, batch, spec, train_backbone=True)
+
+    def test_zero_norm_rows_skipped(self):
+        model, X = _one_group_zero_rows(make_rng(65))
+        _, pairs = _mined("pairs")
+        got = self._check(model, X, pairs, LossSpec())
+        touched = np.isin(pairs.index_a, [1, 4]) | np.isin(pairs.index_b, [1, 4])
+        assert got.n_skipped == int(touched.sum()) > 0
+
+    def test_zero_norm_rows_skipped_in_triplets(self):
+        model, X = _one_group_zero_rows(make_rng(66))
+        _, triplets = _mined("triplets")
+        got = self._check(model, X, triplets, LossSpec(kind="triplet", margin_triplet=0.3))
+        assert got.n_skipped > 0
+
+    def test_duplicate_pairs(self):
+        rng = make_rng(67)
+        model = _random_model(rng)
+        X = rng.standard_normal((5, 6))
+        batch = PairBatch([0, 0, 1, 2, 0, 3], [1, 1, 0, 4, 1, 4], [1, 1, 1, 0, 1, 0])
+        self._check(model, X, batch, LossSpec())
+        trip = TripletBatch([0, 0, 1], [1, 1, 0], [2, 2, 2])
+        self._check(model, X, trip, LossSpec(kind="triplet", margin_triplet=0.5))
+
+    def test_subsampled_batch(self):
+        X, pairs = _mined("pairs", max_pairs=20)
+        assert len(pairs) == 20
+        model = _random_model(make_rng(68))
+        self._check(model, X, pairs, LossSpec())
+
+    def test_plain_route_is_one_group_view(self):
+        X, pairs = _mined("pairs")
+        model = _random_model(make_rng(69), backbone=True)
+        X = np.hstack([X, np.ones((len(X), 1))])
+        whole = EnsembleModel(model.W, GroupPartition((6,)), backbone=model.backbone)
+        plain = accumulate_plain_gradient(model, X, pairs, LossSpec(), train_backbone=True)
+        want = per_pair_gradient(whole, X, pairs, LossSpec(), train_backbone=True)
+        assert _rel(plain.grad_W, want[0]) <= 1e-12
+        assert _rel(plain.grad_backbone_weight, want[1]) <= 1e-12
+        assert plain.loss == pytest.approx(want[3], rel=1e-12, abs=0.0)
+
+
+class TestKernelFailures:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_norm_raises(self):
+        # Finite entries whose squared sum overflows: normalizing would turn
+        # the row into a finite zero and hide the divergence.
+        rng = make_rng(70)
+        model = _random_model(rng, sizes=(2, 2, 2))
+        model.W[:, 2:4] *= 1e200
+        X = rng.standard_normal((4, 6))
+        batch = PairBatch([0, 2], [1, 3], [1, 0])
+        with pytest.raises(NumericFailure, match="non-finite embedding norm in group 1"):
+            accumulate_W_gradient(model, X, batch, LossSpec())
+        with pytest.raises(NumericFailure, match="non-finite embedding norm in group 0"):
+            accumulate_plain_gradient(model, X, batch, LossSpec())
+
+    def test_nan_input_raises(self):
+        rng = make_rng(71)
+        model = _random_model(rng)
+        X = rng.standard_normal((4, 6))
+        X[3, 5] = np.nan
+        with pytest.raises(NumericFailure, match="non-finite embedding norm"):
+            accumulate_W_gradient(model, X, PairBatch([0], [1], [1]), LossSpec())
+
+
+class TestKernelMemory:
+    def test_paper_scale_peak_below_64_mb(self):
+        # h=d=512, preset (96, 160, 256), P=K=16: n=256 rows, 32640 pairs.
+        # Per-pair gradient rows would need about 650 MB here.
+        rng = make_rng(72)
+        model = init_model(rng, 512, GroupPartition((96, 160, 256)))
+        labels = np.repeat(np.arange(16), 16)
+        iu, ju = np.triu_indices(256, k=1)
+        batch = PairBatch(iu, ju, (labels[iu] == labels[ju]).astype(np.int64))
+        X = rng.standard_normal((256, 512))
+        tracemalloc.start()
+        try:
+            res = accumulate_W_gradient(model, X, batch, LossSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_used == 32640
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
