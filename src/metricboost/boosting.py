@@ -188,15 +188,15 @@ class GradResult:
     n_skipped: int
 
 
-def _finish_gradient(model, features, dF):
-    """Chain dL/dF back into W and, when trainable, the backbone."""
-    X = np.asarray(features, dtype=np.float64)
-    if model.backbone is None:
-        phi = X
-        grad_W = phi.T @ dF
-        return grad_W, None, None
-    phi, pre = model.backbone.forward_with_pre(X)
+def _finish_gradient(model, X, dF, phi, pre):
+    """Chain dL/dF back into W and, when `pre` is given, the backbone.
+
+    `phi` is the embedding input of the forward pass and `pre` the backbone's
+    pre-activations, so the chain reuses them instead of a second forward.
+    """
     grad_W = phi.T @ dF
+    if pre is None:
+        return grad_W, None, None
     dphi = dF @ model.W.T
     dpre = dphi * (pre > 0.0)
     grad_bw = dpre.T @ X
@@ -213,7 +213,14 @@ def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_b
     the embedding gradient is dF_m = (S_m U_m - rowsum(S_m * G_m) U_m) / r_m.
     """
     X = np.asarray(features, dtype=np.float64)
-    F = model.forward_batch(X)
+    pre = None
+    if train_backbone and model.backbone is not None:
+        if X.shape[-1] != model.input_dim:
+            raise InvalidArgument(f"input has dim {X.shape[-1]}, model expects {model.input_dim}")
+        phi, pre = model.backbone.forward_with_pre(X)
+    else:
+        phi = model.embed_features(X)
+    F = phi @ model.W
     n = len(F)
     slices = part.slices()
     norms = np.stack([np.linalg.norm(F[:, sl], axis=1) for sl in slices], axis=-1)
@@ -263,10 +270,7 @@ def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_b
         radial = np.einsum("ij,ij->i", S, G[m])
         dF[:, sl] = (S @ U[:, sl] - radial[:, None] * U[:, sl]) / norms[:, m, None]
 
-    if train_backbone and model.backbone is not None:
-        grad_W, grad_bw, grad_bb = _finish_gradient(model, X, dF)
-    else:
-        grad_W, grad_bw, grad_bb = model.embed_features(X).T @ dF, None, None
+    grad_W, grad_bw, grad_bb = _finish_gradient(model, X, dF, phi, pre)
     return GradResult(grad_W, grad_bw, grad_bb, loss, n_used, n_skipped)
 
 

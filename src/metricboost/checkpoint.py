@@ -10,7 +10,7 @@ Model block (little-endian):
     if present: u32 in_dim, f64 weight[h * in_dim] row-major, f64 bias[h]
 
 A training-state extension may follow (files ending after the model block are
-valid model-only checkpoints):
+valid model-only checkpoints); bytes after the last field are rejected:
 
     u8 has_train_state
     u64 iteration
@@ -82,6 +82,12 @@ class _Reader:
 
     def at_end(self):
         return self.off == len(self.data)
+
+    def expect_end(self):
+        if not self.at_end():
+            raise FormatError(
+                f"{self.path}: {len(self.data) - self.off} trailing bytes at offset {self.off}"
+            )
 
 
 def _write_model(fh, model):
@@ -208,11 +214,13 @@ def load_checkpoint(path):
     rd = _Reader(path.read_bytes(), path)
     model = _read_model(rd)
     if rd.at_end() or not rd.u8("train state flag"):
+        rd.expect_end()
         return Checkpoint(model=model)
     iteration = rd.u64("iteration")
     rng_state = json.loads(rd.blob("rng state").decode("utf-8")) or None
     optimizer = _read_optimizer(rd) if rd.u8("optimizer flag") else None
     bank = _read_bank(rd) if rd.u8("bank flag") else None
+    rd.expect_end()
     return Checkpoint(
         model=model, iteration=iteration, rng_state=rng_state,
         optimizer=optimizer, bank=bank,

@@ -2,7 +2,14 @@
 
 Recall@K ranks every other sample by dot-product similarity of the
 inference-time embeddings (ties broken by ascending sample index) and scores
-a query as hit when any of its top K carries the query's label.
+a query as hit when any of its top K carries the query's label. It is one
+row-blocked top-k pass: each block of _BLOCK query rows is scored against all
+N samples, argpartition keeps the K_max largest per row, and the survivors
+are sorted by descending score, then ascending index. A row whose smallest
+surviving score is tied with entries left out is re-ranked over every entry
+at or above that score, so the result equals a full sort exactly. Memory is
+O(_BLOCK * N); non-finite embeddings and overflowing similarities raise
+InvalidArgument.
 
 The two correlation diagnostics quantify ensemble redundancy, lower meaning
 more diverse: feature correlation is the mean absolute Pearson correlation
@@ -21,6 +28,8 @@ from .linalg import make_rng
 
 log = logging.getLogger(__name__)
 
+_BLOCK = 256  # query rows per similarity block
+
 
 def recall_at_k(embeddings, labels, ks):
     """Recall@K for each K in `ks` over a single embedded sample set."""
@@ -36,16 +45,27 @@ def recall_at_k(embeddings, labels, ks):
         raise InvalidArgument("K must be >= 1")
     if max(ks) >= n:
         raise InvalidArgument(f"K must be < number of samples ({n})")
-    sims = E @ E.T
-    np.fill_diagonal(sims, -np.inf)
-    # Stable sort on descending similarity = tie-break by ascending index.
-    order = np.argsort(-sims, axis=1, kind="stable")
-    out = {}
-    for k in sorted(set(ks)):
-        top = order[:, :k]
-        hits = (labels[top] == labels[:, None]).any(axis=1)
-        out[k] = float(hits.mean())
-    return out
+    if not np.isfinite(E).all():
+        raise InvalidArgument("embeddings must be finite")
+    kmax = max(ks)
+    first_hit = np.empty(n, dtype=np.intp)  # rank of the first same-label neighbour
+    for lo in range(0, n, _BLOCK):
+        S = E[lo:lo + _BLOCK] @ E.T
+        if not np.isfinite(S).all():
+            raise InvalidArgument("similarities overflow float64")
+        q = np.arange(len(S))
+        S[q, lo + q] = -np.inf
+        top = np.sort(np.argpartition(S, n - kmax, axis=1)[:, n - kmax:], axis=1)
+        score = np.take_along_axis(S, top, axis=1)
+        top = np.take_along_axis(top, np.argsort(-score, axis=1, kind="stable"), axis=1)
+        cut = score.min(axis=1, keepdims=True)
+        # Ties straddling the cut: re-rank every entry >= cut by (-score, index).
+        for r in np.flatnonzero((S >= cut).sum(axis=1) > kmax):
+            cand = np.flatnonzero(S[r] >= cut[r])
+            top[r] = cand[np.lexsort((cand, -S[r, cand]))][:kmax]
+        match = labels[top] == labels[lo:lo + len(S), None]
+        first_hit[lo:lo + len(S)] = np.where(match.any(axis=1), match.argmax(axis=1), kmax)
+    return {k: float(np.mean(first_hit < k)) for k in sorted(set(ks))}
 
 
 def per_learner_recall_at_1(model, features, labels):
@@ -131,24 +151,53 @@ def classifier_correlation(model, features, index_a, index_b):
     return float(np.clip(np.mean(vals), 0.0, 1.0))
 
 
+def _row_and_offset(p, per_row):
+    """Row of each flat pair number `p` (row-major order) and its offset in that row."""
+    end = np.cumsum(per_row)
+    i = np.searchsorted(end, p, side="right")
+    return i, p - (end - per_row)[i]
+
+
 def make_eval_pairs(labels, rng, max_pairs=2000):
-    """Deterministic positive + negative evaluation pairs for diagnostics."""
+    """Deterministic positive + negative evaluation pairs for diagnostics.
+
+    Pairs (i, j), i < j, are numbered in row-major upper-triangle order,
+    positives and negatives separately. Up to max_pairs // 2 positives and as
+    many negatives are drawn by number and mapped back to (i, j) from
+    per-class counts, without enumerating all N(N-1)/2 pairs.
+    """
     labels = np.asarray(labels)
     n = len(labels)
-    iu, ju = np.triu_indices(n, k=1)
-    pos_mask = labels[iu] == labels[ju]
-    pos_i, pos_j = iu[pos_mask], ju[pos_mask]
-    neg_i, neg_j = iu[~pos_mask], ju[~pos_mask]
+    _, cls, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    order = np.argsort(cls, kind="stable")  # grouped by class, ascending index
+    start = np.cumsum(counts) - counts  # first slot of each class in `order`
+    rank = np.empty(n, dtype=np.intp)  # position of each sample within its class
+    rank[order] = np.arange(n) - start[cls[order]]
+    pos_after = counts[cls] - 1 - rank  # later samples of the same class
+    neg_after = (n - 1 - np.arange(n)) - pos_after
+    n_pos = int(pos_after.sum())
+    n_neg_all = n * (n - 1) // 2 - n_pos
+
     half = max(1, max_pairs // 2)
-    if len(pos_i) > half:
-        pick = rng.choice(len(pos_i), size=half, replace=False)
-        pick.sort()
-        pos_i, pos_j = pos_i[pick], pos_j[pick]
-    n_neg = min(len(neg_i), max(1, len(pos_i)))
-    if len(neg_i) > n_neg:
-        pick = rng.choice(len(neg_i), size=n_neg, replace=False)
-        pick.sort()
-        neg_i, neg_j = neg_i[pick], neg_j[pick]
+    if n_pos > half:
+        pos = np.sort(rng.choice(n_pos, size=half, replace=False))
+    else:
+        pos = np.arange(n_pos)
+    n_neg = min(n_neg_all, max(1, len(pos)))
+    if n_neg_all > n_neg:
+        neg = np.sort(rng.choice(n_neg_all, size=n_neg, replace=False))
+    else:
+        neg = np.arange(n_neg_all)
+
+    # A positive partner is a later member of the row's class.
+    pos_i, o = _row_and_offset(pos, pos_after)
+    pos_j = order[start[cls[pos_i]] + rank[pos_i] + 1 + o]
+    # A negative partner is the t-th sample outside the row's class, counted
+    # from 0; t + (members with at most t non-members before them) is its index.
+    neg_i, o = _row_and_offset(neg, neg_after)
+    t = neg_i - rank[neg_i] + o
+    key = cls[order] * (n + 1) + order - rank[order]  # sorted: (class, non-members before)
+    neg_j = t + np.searchsorted(key, cls[neg_i] * (n + 1) + t, side="right") - start[cls[neg_i]]
     return np.concatenate([pos_i, neg_i]), np.concatenate([pos_j, neg_j])
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's vectorized code paths: plain Python
 loops and sorts only, so they can vouch for the fast implementations. The
 exception is `per_pair_gradient`, the earlier boosting kernel kept as a
 reference for the Gram-matrix one: it builds a cosine gradient row per item
-and endpoint and scatters them with np.add.at.
+and endpoint and scatters them with np.add.at; and `enumerated_eval_pairs`,
+the earlier `make_eval_pairs` that lists all N(N-1)/2 pairs.
 """
 
 import math
@@ -31,6 +32,27 @@ def brute_force_recall(embeddings, labels, k):
         if any(labels[c] == labels[q] for c in top):
             hits += 1
     return hits / n
+
+
+def enumerated_eval_pairs(labels, rng, max_pairs=2000):
+    """Evaluation pairs drawn from the full upper-triangle enumeration."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    iu, ju = np.triu_indices(n, k=1)
+    pos_mask = labels[iu] == labels[ju]
+    pos_i, pos_j = iu[pos_mask], ju[pos_mask]
+    neg_i, neg_j = iu[~pos_mask], ju[~pos_mask]
+    half = max(1, max_pairs // 2)
+    if len(pos_i) > half:
+        pick = rng.choice(len(pos_i), size=half, replace=False)
+        pick.sort()
+        pos_i, pos_j = pos_i[pick], pos_j[pick]
+    n_neg = min(len(neg_i), max(1, len(pos_i)))
+    if len(neg_i) > n_neg:
+        pick = rng.choice(len(neg_i), size=n_neg, replace=False)
+        pick.sort()
+        neg_i, neg_j = neg_i[pick], neg_j[pick]
+    return np.concatenate([pos_i, neg_i]), np.concatenate([pos_j, neg_j])
 
 
 def pearson_by_hand(a, b):

@@ -15,7 +15,13 @@ from metricboost.boosting import (
     boost_step_triplet,
 )
 from metricboost.data_io import SynthSpec, synth_gaussian
-from metricboost.ensemble import EnsembleModel, GroupPartition, init_model, make_schedule
+from metricboost.ensemble import (
+    Backbone,
+    EnsembleModel,
+    GroupPartition,
+    init_model,
+    make_schedule,
+)
 from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.linalg import make_rng
 from metricboost.losses import LossSpec, pair_loss
@@ -215,6 +221,28 @@ class TestAccumulateGradient:
         trainable = accumulate_W_gradient(model, X, batch, LossSpec(), train_backbone=True)
         assert trainable.grad_backbone_weight is not None
         np.testing.assert_array_equal(frozen.grad_W, trainable.grad_W)
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_backbone_forward_runs_once(self, monkeypatch, trainable):
+        rng = make_rng(56)
+        model = _random_model(rng, backbone=True)
+        X = rng.standard_normal((4, 7))
+        batch = PairBatch(np.array([0, 2]), np.array([1, 3]), np.array([1, 0]))
+        calls = []
+        for name in ("forward", "forward_with_pre"):
+            real = getattr(Backbone, name)
+            monkeypatch.setattr(Backbone, name,
+                                lambda self, x, real=real: calls.append(1) or real(self, x))
+        accumulate_W_gradient(model, X, batch, LossSpec(), train_backbone=trainable)
+        assert len(calls) == 1
+
+    def test_trainable_backbone_checks_input_dim(self):
+        rng = make_rng(57)
+        model = _random_model(rng, backbone=True)
+        batch = PairBatch(np.array([0]), np.array([1]), np.array([1]))
+        with pytest.raises(InvalidArgument, match="model expects 7"):
+            accumulate_W_gradient(model, rng.standard_normal((2, 6)), batch, LossSpec(),
+                                  train_backbone=True)
 
     def test_wrong_batch_type(self):
         rng = make_rng(55)

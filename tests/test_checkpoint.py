@@ -61,6 +61,27 @@ class TestModelBlock:
         with pytest.raises(FormatError, match="offset"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_trailing_byte_rejected(self, tmp_path, full):
+        path = tmp_path / "m.ckpt"
+        if full:
+            opt = Optimizer(kind="adam", lr=0.01)
+            save_checkpoint(path, _model(), iteration=3, rng_state={"s": 1}, optimizer=opt,
+                            bank=RegressorBank.create(make_rng(1), _model().partition, hidden=4))
+        else:
+            save_checkpoint(path, _model())
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match=f"1 trailing bytes at offset {size}$"):
+            load_checkpoint(path)
+
+    def test_model_block_without_state_flag_loads(self, tmp_path):
+        # BIERMDL1 files may end right after the model block.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, _model())
+        path.write_bytes(path.read_bytes()[:-1])
+        assert load_checkpoint(path).iteration == 0
+
 
 class TestTrainState:
     def test_full_roundtrip(self, tmp_path):

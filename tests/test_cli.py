@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from metricboost.checkpoint import load_checkpoint
+from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.cli import main
 from metricboost.data_io import read_features
+from metricboost.ensemble import GroupPartition, init_model
+from metricboost.linalg import make_rng
 
 
 @pytest.fixture
@@ -160,6 +162,28 @@ class TestEval:
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt),
                      "--ks", "999"])
         assert code == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_embeddings_exit_1(self, tmp_path, data_file, capsys):
+        # Finite weights whose products overflow: the group norms are inf and
+        # the normalized test embeddings NaN.
+        model = init_model(make_rng(0), 12, GroupPartition((4, 4)))
+        model.W[:] = 1e308
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, model)
+        code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"])
+        assert code == 1
+        assert "embeddings must be finite" in capsys.readouterr().err
+
+    def test_trailing_checkpoint_bytes_exit_2(self, tmp_path, train_cfg, data_file, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        main(["train", "--data", str(data_file), "--config", str(train_cfg),
+              "--out", str(ckpt)])
+        ckpt.write_bytes(ckpt.read_bytes() + b"\x00")
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"])
+        assert code == 2
+        assert "trailing bytes at offset" in capsys.readouterr().err
 
 
 class TestPartition:

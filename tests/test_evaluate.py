@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from metricboost import evaluate
 from metricboost.data_io import FeatureSet, SynthSpec, synth_gaussian
 from metricboost.ensemble import EnsembleModel, GroupPartition, init_model
 from metricboost.errors import InvalidArgument, UndefinedCorrelation
@@ -12,7 +15,7 @@ from metricboost.evaluate import (
     recall_at_k,
 )
 from metricboost.linalg import make_rng
-from oracles import brute_force_recall, pearson_by_hand
+from oracles import brute_force_recall, enumerated_eval_pairs, pearson_by_hand
 
 
 class TestRecall:
@@ -59,6 +62,90 @@ class TestRecall:
         perm = rng.permutation(40)
         shuffled = recall_at_k(emb[perm], labels[perm], [1, 3])
         assert base == shuffled
+
+
+def _exact(emb, labels, ks):
+    got = recall_at_k(emb, labels, ks)
+    assert got == {k: brute_force_recall(emb, labels, k) for k in sorted(set(ks))}
+
+
+class TestBlockedRecall:
+    """Edges of the row-blocked top-k pass, against the brute-force oracle."""
+
+    def test_n_not_a_multiple_of_the_block(self):
+        rng = make_rng(20)
+        n = evaluate._BLOCK + 44
+        _exact(rng.standard_normal((n, 4)), rng.integers(0, 30, size=n), [1, 4, 8])
+
+    def test_n_smaller_than_one_block(self):
+        rng = make_rng(21)
+        _exact(rng.standard_normal((90, 3)), rng.integers(0, 9, size=90), [1, 2, 8])
+
+    def test_kmax_is_n_minus_one(self):
+        rng = make_rng(22)
+        emb = rng.integers(-2, 3, size=(40, 2)).astype(float)
+        _exact(emb, rng.integers(0, 8, size=40), [1, 5, 39])
+
+    def test_duplicate_rows_tie_across_the_cut_in_every_block(self, monkeypatch):
+        # Six distinct integer vectors, each repeated: every query has many
+        # exact ties at its k-th score, in each of the seven blocks.
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        rng = make_rng(23)
+        base = rng.integers(-3, 4, size=(6, 3)).astype(float)
+        emb = base[rng.integers(0, 6, size=100)]
+        _exact(emb, rng.integers(0, 10, size=100), [1, 2, 4, 8])
+
+    def test_wide_tie_below_distinct_scores(self, monkeypatch):
+        # For a query at 1.0, three rows at 2.0 rank first and five of the
+        # sixty rows at 1.0 fill the top 8: the re-rank must order a mixed
+        # candidate set by score and then by index.
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        rng = make_rng(27)
+        emb = rng.permutation(np.r_[np.full(60, 1.0), np.full(3, 2.0), np.full(20, -1.0)])
+        _exact(emb[:, None], rng.integers(0, 12, size=83), [1, 4, 8])
+
+    def test_ties_across_a_block_boundary(self, monkeypatch):
+        # Rows 12..19 are identical and score highest against each other; the
+        # block edge at 16 splits them, and the lower index must still win.
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        emb = np.zeros((32, 2))
+        emb[:, 0] = np.arange(32) % 3 - 1.0
+        emb[12:20] = [5.0, 5.0]
+        labels = np.arange(32) % 5
+        labels[13] = labels[12]
+        _exact(emb, labels, [1, 2, 3])
+
+    def test_real_block_size_with_ties(self):
+        rng = make_rng(24)
+        n = 2 * evaluate._BLOCK + 7
+        emb = rng.integers(-1, 2, size=(n, 2)).astype(float)
+        _exact(emb, rng.integers(0, 40, size=n), [1, 8])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, bad):
+        emb = make_rng(25).standard_normal((10, 3))
+        emb[4, 1] = bad
+        with pytest.raises(InvalidArgument, match="embeddings must be finite"):
+            recall_at_k(emb, np.arange(10) % 2, [1])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_similarities_rejected(self):
+        emb = np.array([[1e200, 0.0], [1e200, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidArgument, match="similarities overflow"):
+            recall_at_k(emb, [0, 1, 0], [1])
+
+    def test_memory_bounded_in_block_rows(self):
+        rng = make_rng(26)
+        emb = rng.standard_normal((4000, 64))
+        labels = rng.integers(0, 400, size=4000)
+        tracemalloc.start()
+        try:
+            recall_at_k(emb, labels, (1, 2, 4, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A dense 4000 x 4000 float64 matrix alone would be 122 MiB.
+        assert peak < 64 * 2**20
 
 
 class TestFeatureCorrelation:
@@ -204,3 +291,47 @@ class TestEvaluateModel:
         # balanced: half positives, half negatives
         y = labels[a[0]] == labels[a[1]]
         assert y.sum() == (~y).sum()
+
+
+class TestEvalPairs:
+    """The enumeration-free draw equals the full enumeration bit for bit."""
+
+    @staticmethod
+    def _same(labels, max_pairs, seed=3):
+        got = make_eval_pairs(labels, make_rng(seed), max_pairs=max_pairs)
+        want = enumerated_eval_pairs(labels, make_rng(seed), max_pairs=max_pairs)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        return got
+
+    def test_random_label_sets(self):
+        rng = make_rng(30)
+        for _ in range(30):
+            n = int(rng.integers(2, 200))
+            labels = rng.integers(0, int(rng.integers(1, 30)), size=n)
+            self._same(labels, int(rng.integers(2, 400)))
+
+    def test_positives_at_most_half(self):
+        a, b = self._same(np.arange(40) // 2, 100)  # 20 positive pairs, all kept
+        assert (np.arange(40)[a] // 2 == np.arange(40)[b] // 2).sum() == 20
+
+    def test_fewer_negatives_than_positives(self):
+        labels = np.array([0] * 30 + [1])  # 435 positives, 30 negatives
+        a, b = self._same(labels, 2000)
+        assert (labels[a] != labels[b]).sum() == 30
+
+    def test_one_class(self):
+        a, b = self._same(np.zeros(25, dtype=int), 40)
+        assert len(a) == 20 and (a < b).all()
+
+    def test_two_samples(self):
+        self._same(np.array([4, 4]), 2000)
+        self._same(np.array([4, 7]), 2000)
+
+    def test_max_pairs_of_two(self):
+        a, b = self._same(np.repeat(np.arange(6), 5), 2)
+        assert len(a) == 2
+
+    def test_string_labels_and_benchmark_shape(self):
+        self._same(np.array(list("abcabcbbca")), 10)
+        labels = np.repeat(np.arange(220), 10)[:2000]
+        self._same(make_rng(31).permutation(labels), 2000, seed=0)
