@@ -19,13 +19,7 @@ from .data_io import (
     synth_gaussian,
     write_features,
 )
-from .diversity import (
-    RegressorBank,
-    activation_loss,
-    adversarial_loss,
-    diversity_loss,
-    regressor_forward,
-)
+from .diversity import RegressorBank, activation_loss, adversarial_loss
 from .ensemble import (
     Backbone,
     BoostSchedule,

@@ -16,16 +16,23 @@ valid model-only checkpoints); bytes after the last field are rejected:
     u64 iteration
     u32 len, JSON rng state
     u8 optimizer_present
-    if present: u32 len, JSON header {hyperparams, t, buffer manifest},
-                f64 payload per manifest entry
+    if present: u32 len, JSON header {hyperparams, t, layout, moments},
+                f64 flat vector per moment, sized by the layout's shapes
     u8 bank_present
     if present: u32 count, then per regressor:
                 u32 i, u32 j, u32 hidden, u32 d_in, u32 d_out,
                 f64 W1, f64 b1, f64 W2, f64 b2
+
+`layout` lists the shapes of the optimizer's arrays in step order (W,
+backbone weight and bias, then W1, b1, W2, b2 per regressor); `moments` names
+the vectors ("vel", or "m" and "v"). Headers without them (the earlier
+per-name manifest) are rejected.
 """
 
 from dataclasses import dataclass
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -78,7 +85,7 @@ class _Reader:
 
     def blob(self, what):
         n = self.u32(what + " length")
-        return self.take(n, what)
+        return bytes(self.take(n, what))
 
     def at_end(self):
         return self.off == len(self.data)
@@ -127,36 +134,26 @@ def _read_model(rd):
 
 
 def _write_optimizer(fh, opt):
-    state = opt.state_dict()
-    manifest = []
-    payload = []
-    for name in state["buffers"]:
-        for key, arr in state["buffers"][name].items():
-            manifest.append({"name": name, "key": key, "shape": list(arr.shape)})
-            payload.append(np.asarray(arr, dtype=np.float64))
-    header = json.dumps({
-        "kind": state["kind"], "lr": state["lr"], "momentum": state["momentum"],
-        "beta1": state["beta1"], "beta2": state["beta2"], "eps": state["eps"],
-        "t": state["t"], "manifest": manifest,
-    }).encode("utf-8")
-    fh.write(struct.pack("<I", len(header)))
-    fh.write(header)
-    for arr in payload:
-        fh.write(arr.astype("<f8").tobytes())
+    moments = opt.buffers.get("flat", {})
+    header = {key: getattr(opt, key)
+              for key in ("kind", "lr", "momentum", "beta1", "beta2", "eps", "t", "layout")}
+    blob = json.dumps({**header, "moments": list(moments)}).encode("utf-8")
+    fh.write(struct.pack("<I", len(blob)))
+    fh.write(blob)
+    for arr in moments.values():
+        fh.write(arr.astype("<f8", copy=False))
 
 
 def _read_optimizer(rd):
     header = json.loads(rd.blob("optimizer header").decode("utf-8"))
-    buffers = {}
-    for entry in header["manifest"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        arr = rd.f64_array(count, f"optimizer buffer {entry['name']}/{entry['key']}")
-        buffers.setdefault(entry["name"], {})[entry["key"]] = arr.reshape(entry["shape"])
-    return Optimizer.from_state_dict({
-        "kind": header["kind"], "lr": header["lr"], "momentum": header["momentum"],
-        "beta1": header["beta1"], "beta2": header["beta2"], "eps": header["eps"],
-        "t": header["t"], "buffers": buffers,
-    })
+    try:
+        size = sum(math.prod(shape) for shape in header["layout"] or [])
+        moments = {key: rd.f64_array(size, f"optimizer {key}") for key in header["moments"]}
+        return Optimizer.from_state_dict({**header, "buffers": {"flat": moments}})
+    except KeyError as exc:
+        raise FormatError(f"{rd.path}: optimizer state has no {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{rd.path}: malformed optimizer state: {exc}") from None
 
 
 def _write_bank(fh, bank):
@@ -189,29 +186,38 @@ def _read_bank(rd):
 
 
 def save_checkpoint(path, model, iteration=None, rng_state=None, optimizer=None, bank=None):
-    """Write a checkpoint; training state is included when iteration is given."""
+    """Write a checkpoint; training state is included when iteration is given.
+
+    The bytes go to `<path>.tmp`, which then replaces `path`; on any error
+    the temporary file is removed and an existing `path` is left as it was.
+    """
     path = Path(path)
-    with open(path, "wb") as fh:
-        _write_model(fh, model)
-        has_state = iteration is not None or bank is not None
-        fh.write(struct.pack("<B", 1 if has_state else 0))
-        if not has_state:
-            return
-        fh.write(struct.pack("<Q", iteration or 0))
-        blob = json.dumps(rng_state or {}).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<B", 1 if optimizer is not None else 0))
-        if optimizer is not None:
-            _write_optimizer(fh, optimizer)
-        fh.write(struct.pack("<B", 1 if bank is not None else 0))
-        if bank is not None:
-            _write_bank(fh, bank)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_model(fh, model)
+            has_state = iteration is not None or bank is not None
+            fh.write(struct.pack("<B", 1 if has_state else 0))
+            if has_state:
+                fh.write(struct.pack("<Q", iteration or 0))
+                blob = json.dumps(rng_state or {}).encode("utf-8")
+                fh.write(struct.pack("<I", len(blob)))
+                fh.write(blob)
+                fh.write(struct.pack("<B", 1 if optimizer is not None else 0))
+                if optimizer is not None:
+                    _write_optimizer(fh, optimizer)
+                fh.write(struct.pack("<B", 1 if bank is not None else 0))
+                if bank is not None:
+                    _write_bank(fh, bank)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):
     path = Path(path)
-    rd = _Reader(path.read_bytes(), path)
+    rd = _Reader(memoryview(path.read_bytes()), path)
     model = _read_model(rd)
     if rd.at_end() or not rd.u8("train state flag"):
         rd.expect_end()

@@ -49,7 +49,6 @@ TRAIN_KEYS = {
     "eval_interval": ("int", "iterations between metric rows (0 = none)"),
     "eval_ks": ("int_tuple", "recall@K values for eval"),
     "eval_pairs": ("int", "pairs used for classifier correlation"),
-    "threads": ("int", "worker cap (1 = bit-reproducible default)"),
     "init_lr": ("float", "init solver learning rate"),
     "init_iterations": ("int", "init solver iteration cap"),
 }

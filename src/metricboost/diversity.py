@@ -113,11 +113,6 @@ class Regressor:
         return Regressor(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
 
 
-def regressor_forward(reg, v):
-    """Map a single vector through a regressor (see Regressor.forward)."""
-    return reg.forward(v)
-
-
 def init_regressor(rng, d_in, d_out, hidden=512):
     """Glorot-uniform weights, zero biases."""
     l1 = np.sqrt(6.0 / (d_in + hidden))
@@ -168,13 +163,12 @@ class RegressorBank:
     def copy(self):
         return RegressorBank({k: r.copy() for k, r in self.regressors.items()})
 
-
-@dataclass
-class RegressorGrads:
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
+    def scaled(self, factor):
+        """A new bank with every regressor array multiplied by `factor`."""
+        return RegressorBank({
+            k: Regressor(factor * r.W1, factor * r.b1, factor * r.W2, factor * r.b2)
+            for k, r in self.regressors.items()
+        })
 
 
 @dataclass
@@ -185,7 +179,7 @@ class AdversarialResult:
     grad_W: np.ndarray  # embedding gradient: reversed similarity + scaled W penalty
     grad_W_sim: np.ndarray  # similarity component of grad_W (reversal applied)
     grad_W_sim_unreversed: np.ndarray  # similarity gradient without the reversal layer
-    regressor_grads: dict  # (i, j) -> RegressorGrads, gradient of the full loss
+    regressor_grads: RegressorBank  # gradient of the full loss, keyed like the bank
 
 
 def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
@@ -254,7 +248,7 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
         penalty += p1 + p2 + p_bias
 
         # Regressors descend the full loss: maximize similarity, bounded weights.
-        reg_grads[(i, j)] = RegressorGrads(
+        reg_grads[(i, j)] = Regressor(
             W1=-gW1 + lambda_w * gp1,
             b1=-gb1 + lambda_w * gb1_pen,
             W2=-gW2 + lambda_w * gp2,
@@ -281,20 +275,6 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
         grad_W=grad_sim + lambda_w * grad_w_pen,
         grad_W_sim=grad_sim,
         grad_W_sim_unreversed=grad_unrev,
-        regressor_grads=reg_grads,
+        regressor_grads=RegressorBank(reg_grads),
     )
 
-
-def diversity_loss(kind, model, features, lambda_w, bank=None, sim_normalizer="d_j",
-                   reverse_target_path=True):
-    """Dispatch to activation_loss or adversarial_loss."""
-    if kind == "activation":
-        return activation_loss(model, features, lambda_w)
-    if kind == "adversarial":
-        if bank is None:
-            raise InvalidArgument("adversarial diversity needs a regressor bank")
-        return adversarial_loss(
-            model, bank, features, lambda_w,
-            sim_normalizer=sim_normalizer, reverse_target_path=reverse_target_path,
-        )
-    raise InvalidArgument(f"unknown diversity kind {kind!r}")

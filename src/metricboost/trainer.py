@@ -24,6 +24,7 @@ from .boosting import (
 )
 from .diversity import RegressorBank, activation_loss, adversarial_loss
 from .ensemble import (
+    Backbone,
     EnsembleModel,
     GroupPartition,
     init_model,
@@ -86,7 +87,6 @@ class TrainConfig:
     eval_interval: int = 0
     eval_ks: tuple = (1,)
     eval_pairs: int = 1000
-    threads: int = 1
 
     def __post_init__(self):
         if self.diversity not in DIVERSITY_KINDS:
@@ -103,8 +103,6 @@ class TrainConfig:
             raise InvalidArgument("samples_per_class must be >= 2")
         if self.iterations < 0:
             raise InvalidArgument("iterations must be >= 0")
-        if self.threads < 1:
-            raise InvalidArgument("threads must be >= 1")
 
     def loss_spec(self):
         return LossSpec(
@@ -221,19 +219,21 @@ class StepResult:
     n_skipped: int
 
 
-def _param_dicts(model, bank, train_backbone, train_bank):
-    params = {"W": model.W}
-    if train_backbone and model.backbone is not None:
-        params["backbone.weight"] = model.backbone.weight
-        params["backbone.bias"] = model.backbone.bias
-    if train_bank and bank is not None:
-        for (i, j) in bank.keys():
-            reg = bank[(i, j)]
-            params[f"bank.{i}.{j}.W1"] = reg.W1
-            params[f"bank.{i}.{j}.b1"] = reg.b1
-            params[f"bank.{i}.{j}.W2"] = reg.W2
-            params[f"bank.{i}.{j}.b2"] = reg.b2
-    return params
+def _trained_arrays(W, backbone=None, bank=None):
+    """The arrays of one optimizer step, in the one order every step uses.
+
+    W, then the backbone's weight and bias, then W1, b1, W2, b2 of each
+    regressor in `bank.keys()` order. Gradients come back in the same
+    containers as the parameters, so the same call lists either.
+    """
+    arrays = [W]
+    if backbone is not None:
+        arrays += [backbone.weight, backbone.bias]
+    if bank is not None:
+        for key in bank.keys():
+            reg = bank[key]
+            arrays += [reg.W1, reg.b1, reg.W2, reg.b2]
+    return arrays
 
 
 def train_step(cfg, model, bank, opt, features, batch):
@@ -253,19 +253,19 @@ def train_step(cfg, model, bank, opt, features, batch):
             model, features, mined, spec, train_backbone=train_backbone,
         )
 
-    grads = {"W": res.grad_W}
+    grad_W = res.grad_W
+    backbone_grads = None
     if train_backbone:
-        grads["backbone.weight"] = res.grad_backbone_weight
-        grads["backbone.bias"] = res.grad_backbone_bias
+        backbone_grads = Backbone(res.grad_backbone_weight, res.grad_backbone_bias)
+    bank_grads = None
 
     loss_div = 0.0
     lam = cfg.resolved_lambda_div()
-    use_bank = cfg.diversity == "adversarial"
     if cfg.diversity == "activation":
         div = activation_loss(model, features, cfg.lambda_w)
         loss_div = div.loss
         if lam != 0.0:
-            grads["W"] = grads["W"] + lam * div.grad_W
+            grad_W = grad_W + lam * div.grad_W
     elif cfg.diversity == "adversarial":
         div = adversarial_loss(
             model, bank, features, cfg.lambda_w,
@@ -274,16 +274,14 @@ def train_step(cfg, model, bank, opt, features, batch):
         )
         loss_div = div.loss
         if lam != 0.0:
-            grads["W"] = grads["W"] + lam * div.grad_W
-            for (i, j) in bank.keys():
-                rg = div.regressor_grads[(i, j)]
-                grads[f"bank.{i}.{j}.W1"] = lam * rg.W1
-                grads[f"bank.{i}.{j}.b1"] = lam * rg.b1
-                grads[f"bank.{i}.{j}.W2"] = lam * rg.W2
-                grads[f"bank.{i}.{j}.b2"] = lam * rg.b2
+            grad_W = grad_W + lam * div.grad_W
+            bank_grads = div.regressor_grads.scaled(lam)
 
-    params = _param_dicts(model, bank, train_backbone, use_bank and lam != 0.0)
-    opt.step(params, grads)
+    opt.step(
+        _trained_arrays(model.W, model.backbone if train_backbone else None,
+                        bank if bank_grads is not None else None),
+        _trained_arrays(grad_W, backbone_grads, bank_grads),
+    )
     return StepResult(res.loss, loss_div, res.n_used, res.n_skipped)
 
 
@@ -315,6 +313,7 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
     if max_iterations < 1:
         raise InvalidArgument("init solver needs max_iterations >= 1")
     opt = Optimizer(kind="sgd_momentum", lr=lr, momentum=momentum)
+    train_bank = bank if kind == "adversarial" else None
     history = []
     initial_term = None
     final_loss = float("nan")
@@ -323,7 +322,7 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
         if kind == "activation":
             div = activation_loss(model, X, lambda_w)
             term = div.sup_term
-            grads = {"W": div.grad_W}
+            bank_grads = None
         else:
             div = adversarial_loss(
                 model, bank, X, lambda_w,
@@ -331,13 +330,7 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
                 reverse_target_path=reverse_target_path,
             )
             term = div.sim_term
-            grads = {"W": div.grad_W}
-            for (i, j) in bank.keys():
-                rg = div.regressor_grads[(i, j)]
-                grads[f"bank.{i}.{j}.W1"] = rg.W1
-                grads[f"bank.{i}.{j}.b1"] = rg.b1
-                grads[f"bank.{i}.{j}.W2"] = rg.W2
-                grads[f"bank.{i}.{j}.b2"] = rg.b2
+            bank_grads = div.regressor_grads
         if not np.isfinite(div.loss):
             raise NumericFailure(f"init solver diverged at iteration {it}: loss={div.loss}")
         if initial_term is None:
@@ -348,8 +341,8 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
             ref = history[it - tol_window]
             if abs(history[it] - ref) <= tol * max(abs(ref), 1e-12):
                 break
-        params = _param_dicts(model, bank, False, kind == "adversarial")
-        opt.step(params, grads)
+        opt.step(_trained_arrays(model.W, bank=train_bank),
+                 _trained_arrays(div.grad_W, bank=bank_grads))
 
     if kind == "activation":
         final_term = activation_loss(model, X, lambda_w).sup_term

@@ -1,6 +1,11 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
+from metricboost import checkpoint
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.diversity import RegressorBank
 from metricboost.ensemble import GroupPartition, init_model
@@ -12,6 +17,20 @@ from metricboost.optim import Optimizer
 def _model(seed=0, backbone=False):
     rng = make_rng(seed)
     return init_model(rng, 6, GroupPartition((2, 4)), backbone_in_dim=5 if backbone else None)
+
+
+def write_name_keyed_checkpoint(path, model, iteration=3):
+    """A training checkpoint whose optimizer section uses the per-name
+    manifest of earlier versions: {name, key, shape} per moment array."""
+    save_checkpoint(path, model)
+    header = json.dumps({
+        "kind": "adam", "lr": 0.01, "momentum": 0.9, "beta1": 0.9, "beta2": 0.999,
+        "eps": 1e-8, "t": 1,
+        "manifest": [{"name": "W", "key": k, "shape": list(model.W.shape)} for k in "mv"],
+    }).encode("utf-8")
+    state = (struct.pack("<BQI", 1, iteration, 2) + b"{}" + struct.pack("<BI", 1, len(header))
+             + header + np.zeros(2 * model.W.size).tobytes() + struct.pack("<B", 0))
+    path.write_bytes(path.read_bytes()[:-1] + state)
 
 
 class TestModelBlock:
@@ -89,7 +108,9 @@ class TestTrainState:
         model = _model(3)
         bank = RegressorBank.create(rng, model.partition, hidden=4)
         opt = Optimizer(kind="adam", lr=0.01)
-        opt.step({"W": model.W}, {"W": rng.standard_normal(model.W.shape)})
+        reg = bank[(0, 1)]
+        arrays = [model.W, reg.W1, reg.b1, reg.W2, reg.b2]
+        opt.step(arrays, [rng.standard_normal(a.shape) for a in arrays])
         rng_state = rng.bit_generator.state
         path = tmp_path / "t.ckpt"
         save_checkpoint(path, model, iteration=42, rng_state=rng_state,
@@ -98,8 +119,48 @@ class TestTrainState:
         assert back.iteration == 42
         assert back.rng_state == rng_state
         assert back.optimizer.t == 1
-        np.testing.assert_array_equal(back.optimizer.buffers["W"]["m"], opt.buffers["W"]["m"])
+        assert back.optimizer.layout == [(6, 6), (4, 4), (4,), (2, 4), (2,)]
+        for key in ("m", "v"):
+            np.testing.assert_array_equal(back.optimizer.buffers["flat"][key],
+                                          opt.buffers["flat"][key])
         np.testing.assert_array_equal(back.bank[(0, 1)].W1, bank[(0, 1)].W1)
+
+    def test_never_stepped_optimizer_roundtrip(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, _model(), iteration=0, optimizer=Optimizer("sgd_momentum", lr=0.5))
+        opt = load_checkpoint(path).optimizer
+        assert (opt.kind, opt.lr, opt.t, opt.layout) == ("sgd_momentum", 0.5, 0, None)
+        assert opt.buffers == {}
+
+    def test_sgd_payload_is_one_flat_moment(self, tmp_path):
+        model = _model(backbone=True)
+        opt = Optimizer(kind="sgd_momentum", lr=0.5)
+        arrays = [model.W, model.backbone.weight, model.backbone.bias]
+        opt.step(arrays, [np.full(a.shape, 2.0) for a in arrays])
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, model, iteration=1, optimizer=opt)
+        back = load_checkpoint(path).optimizer
+        assert list(back.buffers["flat"]) == ["vel"]
+        np.testing.assert_array_equal(back.buffers["flat"]["vel"], np.full(36 + 30 + 6, 2.0))
+
+    def test_malformed_layout_rejected(self, tmp_path):
+        model = _model()
+        opt = Optimizer(kind="adam", lr=0.01)
+        opt.step([model.W], [np.ones(model.W.shape)])
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, model, iteration=1, optimizer=opt)
+        data = path.read_bytes()
+        # Same length as "[[6, 6]]", so every later offset stays valid.
+        path.write_bytes(data.replace(b'"layout": [[6, 6]]', b'"layout": 12345678'))
+        with pytest.raises(FormatError, match="malformed optimizer state"):
+            load_checkpoint(path)
+
+    def test_name_keyed_optimizer_rejected(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        write_name_keyed_checkpoint(path, _model())
+        want = f"^{re.escape(str(path))}: optimizer state has no 'layout'$"
+        with pytest.raises(FormatError, match=want):
+            load_checkpoint(path)
 
     def test_restored_rng_continues_stream(self, tmp_path):
         rng = make_rng(9)
@@ -112,3 +173,42 @@ class TestTrainState:
         rng2 = make_rng(0)
         rng2.bit_generator.state = back.rng_state
         np.testing.assert_array_equal(rng.standard_normal(5), rng2.standard_normal(5))
+
+
+class TestAtomicWrite:
+    def _state(self):
+        model = _model(3)
+        bank = RegressorBank.create(make_rng(3), model.partition, hidden=4)
+        opt = Optimizer(kind="adam", lr=0.01)
+        opt.step([model.W], [np.ones(model.W.shape)])
+        return model, bank, opt
+
+    @pytest.mark.parametrize("writer", ["_write_optimizer", "_write_bank"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch, writer):
+        model, bank, opt = self._state()
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, model, iteration=1, optimizer=opt, bank=bank)
+        before = path.read_bytes()
+
+        def broken(fh, _obj):
+            fh.write(b"\x01partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, writer, broken)
+        model.W += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, iteration=2, optimizer=opt, bank=bank)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).iteration == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ckpt"]
+
+    def test_failed_first_save_leaves_no_file(self, tmp_path, monkeypatch):
+        model, bank, opt = self._state()
+
+        def broken(fh, _obj):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "_write_bank", broken)
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path / "t.ckpt", model, iteration=1, optimizer=opt, bank=bank)
+        assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,7 @@ from metricboost.cli import main
 from metricboost.data_io import read_features
 from metricboost.ensemble import GroupPartition, init_model
 from metricboost.linalg import make_rng
+from test_checkpoint import write_name_keyed_checkpoint
 
 
 @pytest.fixture
@@ -124,6 +125,33 @@ class TestTrain:
         W_full = load_checkpoint(full).model.W
         W_res = load_checkpoint(resumed).model.W
         np.testing.assert_array_equal(W_full, W_res)
+
+    @pytest.mark.parametrize("first,second", [
+        (["--set", "diversity=adversarial"], []),
+        (["--set", "use_backbone=true"], ["--set", "use_backbone=true",
+                                          "--set", "backbone_trainable=false"]),
+    ], ids=["adversarial-to-none", "backbone-frozen"])
+    def test_resume_with_other_trained_arrays_exits_1(self, tmp_path, train_cfg, data_file,
+                                                       capsys, first, second):
+        half = tmp_path / "half.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(half), "--set", "iterations=40"] + first) == 0
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(half)] + second)
+        assert code == 1
+        assert "parameter layout [(12, 8)] does not match the optimizer's [(12, 8), " in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "r.ckpt").exists()
+
+    def test_resume_from_name_keyed_checkpoint_exits_2(self, tmp_path, train_cfg, data_file,
+                                                       capsys):
+        old = tmp_path / "old.ckpt"
+        write_name_keyed_checkpoint(old, init_model(make_rng(0), 12, GroupPartition((4, 4))))
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(old)])
+        assert code == 2
+        assert f"{old}: optimizer state has no 'layout'" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3_with_iteration(self, tmp_path, train_cfg, data_file, capsys):

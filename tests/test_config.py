@@ -8,6 +8,7 @@ from metricboost.config import (
     describe_keys,
     parse_config_file,
 )
+from metricboost.cli import main
 from metricboost.errors import FormatError, InvalidArgument
 
 
@@ -54,6 +55,15 @@ class TestBuildTrainConfig:
         assert cfg.use_boosting is False
         assert cfg.group_sizes == (4, 4, 8)
         assert cfg.lambda_div is None
+
+    def test_threads_is_not_a_key(self, tmp_path, capsys):
+        # The key once existed but set nothing; a file naming it now fails.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("iterations = 5\nthreads = 1\n")
+        code = main(["train", "--data", str(tmp_path / "absent.bin"), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_bad_bool(self):
         with pytest.raises(InvalidArgument, match="boolean"):

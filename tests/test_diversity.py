@@ -5,14 +5,13 @@ from metricboost.diversity import (
     RegressorBank,
     activation_loss,
     adversarial_loss,
-    diversity_loss,
     init_regressor,
-    regressor_forward,
     Regressor,
 )
 from metricboost.ensemble import EnsembleModel, GroupPartition, init_model
 from metricboost.errors import InvalidArgument
 from metricboost.linalg import make_rng
+from metricboost.trainer import init_solver
 
 
 def _witness_model():
@@ -90,7 +89,7 @@ class TestActivationLoss:
 class TestRegressor:
     def test_zero_weights_output_bias(self):
         reg = Regressor(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.array([1.5, -2.0]))
-        np.testing.assert_array_equal(regressor_forward(reg, np.ones(3)), [1.5, -2.0])
+        np.testing.assert_array_equal(reg.forward(np.ones(3)), [1.5, -2.0])
 
     def test_rectifier_passthrough(self):
         # Nonnegative W1 rows and nonnegative input keep the ReLU inactive,
@@ -98,20 +97,20 @@ class TestRegressor:
         W1 = np.array([[1.0, 2.0], [0.5, 0.0]])
         reg = Regressor(W1, np.zeros(2), np.eye(2), np.zeros(2))
         v = np.array([1.0, 3.0])
-        np.testing.assert_allclose(regressor_forward(reg, v), W1 @ v)
+        np.testing.assert_allclose(reg.forward(v), W1 @ v)
 
     def test_matches_composed_matvec_oracle(self):
         rng = make_rng(61)
         reg = init_regressor(rng, d_in=5, d_out=3, hidden=7)
         v = rng.standard_normal(5)
         oracle = reg.W2 @ np.maximum(reg.W1 @ v + reg.b1, 0.0) + reg.b2
-        np.testing.assert_allclose(regressor_forward(reg, v), oracle, atol=1e-12)
+        np.testing.assert_allclose(reg.forward(v), oracle, atol=1e-12)
 
     def test_dim_mismatch(self):
         rng = make_rng(62)
         reg = init_regressor(rng, d_in=5, d_out=3, hidden=4)
         with pytest.raises(InvalidArgument):
-            regressor_forward(reg, np.ones(4))
+            reg.forward(np.ones(4))
 
     def test_bank_layout(self):
         rng = make_rng(63)
@@ -220,17 +219,45 @@ class TestAdversarialLoss:
 
 
 class TestDispatch:
+    """The init solver is where a diversity kind picks its loss."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_dispatch_activation(self):
         model = _witness_model()
-        res = diversity_loss("activation", model, np.ones((2, 8)), 1.0)
-        assert hasattr(res, "sup_term")
+        res = init_solver(np.ones((2, 8)), model, "activation", 1.0, lr=1e-3,
+                          max_iterations=1)
+        assert res.initial_div_term == activation_loss(_witness_model(), np.ones((2, 8)),
+                                                       1.0).sup_term
 
     def test_dispatch_adversarial_needs_bank(self):
         model = _witness_model()
-        with pytest.raises(InvalidArgument):
-            diversity_loss("adversarial", model, np.ones((2, 8)), 1.0)
+        with pytest.raises(InvalidArgument, match="needs a regressor bank"):
+            init_solver(np.ones((2, 8)), model, "adversarial", 1.0)
 
     def test_dispatch_unknown(self):
         model = _witness_model()
-        with pytest.raises(InvalidArgument):
-            diversity_loss("dropout", model, np.ones((2, 8)), 1.0)
+        with pytest.raises(InvalidArgument, match="dropout"):
+            init_solver(np.ones((2, 8)), model, "dropout", 1.0)
+
+
+class TestRegressorGradientsAreABank:
+    def test_keys_and_shapes_follow_the_bank(self):
+        rng = make_rng(77)
+        model = init_model(rng, 6, GroupPartition((2, 3, 1)))
+        bank = RegressorBank.create(rng, model.partition, hidden=4)
+        grads = adversarial_loss(model, bank, rng.standard_normal((3, 6)), 0.5).regressor_grads
+        assert isinstance(grads, RegressorBank)
+        assert grads.keys() == bank.keys()
+        for key in bank.keys():
+            for part in ("W1", "b1", "W2", "b2"):
+                assert getattr(grads[key], part).shape == getattr(bank[key], part).shape
+
+    def test_scaled_multiplies_every_array(self):
+        rng = make_rng(78)
+        bank = RegressorBank.create(rng, GroupPartition((2, 2)), hidden=3)
+        bank[(0, 1)].b1[:] = rng.standard_normal(3)
+        bank[(0, 1)].b2[:] = rng.standard_normal(2)
+        half = bank.scaled(0.5)
+        for part in ("W1", "b1", "W2", "b2"):
+            np.testing.assert_array_equal(getattr(half[(0, 1)], part),
+                                          0.5 * getattr(bank[(0, 1)], part))

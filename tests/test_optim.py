@@ -1,49 +1,102 @@
 import numpy as np
 import pytest
 
+from metricboost.data_io import SynthSpec, synth_gaussian
 from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.optim import Optimizer
+from metricboost.trainer import TrainConfig, run
 
 
 class TestStep:
     def test_zero_gradient_leaves_params(self):
         for kind in ("sgd_momentum", "adam"):
             opt = Optimizer(kind=kind, lr=0.1)
-            p = {"w": np.array([1.0, -2.0])}
-            opt.step(p, {"w": np.zeros(2)})
-            np.testing.assert_array_equal(p["w"], [1.0, -2.0])
+            p = [np.array([1.0, -2.0])]
+            opt.step(p, [np.zeros(2)])
+            np.testing.assert_array_equal(p[0], [1.0, -2.0])
 
     def test_adam_first_step_is_minus_lr(self):
         # Bias correction makes the first step lr * sign(g) up to eps.
         opt = Optimizer(kind="adam", lr=1e-3)
-        p = {"w": np.array([0.0])}
-        opt.step(p, {"w": np.array([1.0])})
-        assert p["w"][0] == pytest.approx(-1e-3, rel=1e-6)
+        p = [np.array([0.0])]
+        opt.step(p, [np.array([1.0])])
+        assert p[0][0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_sgd_momentum_two_steps(self):
         opt = Optimizer(kind="sgd_momentum", lr=1.0, momentum=0.9)
-        p = {"w": np.array([0.0])}
-        opt.step(p, {"w": np.array([1.0])})
-        opt.step(p, {"w": np.array([1.0])})
-        assert p["w"][0] == pytest.approx(-2.9, abs=1e-12)
+        p = [np.array([0.0])]
+        opt.step(p, [np.array([1.0])])
+        opt.step(p, [np.array([1.0])])
+        assert p[0][0] == pytest.approx(-2.9, abs=1e-12)
+
+    def test_arrays_update_independently(self):
+        # Flat moments: each array's step equals a step on that array alone.
+        rng = np.random.default_rng(1)
+        shapes = [(3, 4), (4,), (), (2, 1)]
+        params = [rng.standard_normal(s) for s in shapes]
+        alone = [p.copy() for p in params]
+        opts = [Optimizer(kind="adam", lr=0.05) for _ in shapes]
+        opt = Optimizer(kind="adam", lr=0.05)
+        for _ in range(3):
+            grads = [rng.standard_normal(s) for s in shapes]
+            opt.step(params, grads)
+            for a, o, g in zip(alone, opts, grads):
+                o.step([a], [g])
+        for p, a in zip(params, alone):
+            np.testing.assert_array_equal(p, a)
 
     def test_nan_gradient_refused_without_mutation(self):
         opt = Optimizer(kind="adam", lr=0.1)
-        p = {"a": np.array([1.0]), "b": np.array([2.0])}
-        opt.step(p, {"a": np.array([0.5]), "b": np.array([0.5])})
-        snap_a = p["a"].copy()
-        snap_m = opt.buffers["a"]["m"].copy()
+        p = [np.array([1.0]), np.array([2.0])]
+        opt.step(p, [np.array([0.5]), np.array([0.5])])
+        snap_p = [a.copy() for a in p]
+        snap_m = opt.buffers["flat"]["m"].copy()
+        snap_v = opt.buffers["flat"]["v"].copy()
         t_before = opt.t
-        with pytest.raises(NumericFailure):
-            opt.step(p, {"a": np.array([1.0]), "b": np.array([np.nan])})
-        np.testing.assert_array_equal(p["a"], snap_a)
-        np.testing.assert_array_equal(opt.buffers["a"]["m"], snap_m)
+        with pytest.raises(NumericFailure, match="array 1"):
+            opt.step(p, [np.array([1.0]), np.array([np.nan])])
+        for a, b in zip(p, snap_p):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(opt.buffers["flat"]["m"], snap_m)
+        np.testing.assert_array_equal(opt.buffers["flat"]["v"], snap_v)
         assert opt.t == t_before
 
-    def test_key_mismatch(self):
+    def test_refused_first_step_fixes_no_layout(self):
+        opt = Optimizer(kind="sgd_momentum", lr=0.1)
+        p = [np.zeros((2, 2))]
+        with pytest.raises(NumericFailure):
+            opt.step(p, [np.full((2, 2), np.inf)])
+        assert opt.layout is None and opt.buffers == {} and opt.t == 0
+        # A different layout is still free to become the first one.
+        opt.step([np.zeros(3)], [np.ones(3)])
+        assert opt.layout == [(3,)]
+
+    def test_length_mismatch(self):
         opt = Optimizer()
-        with pytest.raises(InvalidArgument):
-            opt.step({"a": np.zeros(1)}, {"b": np.zeros(1)})
+        with pytest.raises(InvalidArgument, match="2 params but 1 gradients"):
+            opt.step([np.zeros(1), np.zeros(1)], [np.zeros(1)])
+
+    def test_shape_mismatch(self):
+        opt = Optimizer()
+        want = r"gradient shapes \[\(2,\), \(3,\)\] differ from parameter shapes \[\(2,\), \(3, 1\)\]"
+        with pytest.raises(InvalidArgument, match=want):
+            opt.step([np.zeros(2), np.zeros((3, 1))], [np.zeros(2), np.zeros(3)])
+        assert opt.layout is None and opt.t == 0
+
+    def test_layout_mismatch_on_later_step(self):
+        opt = Optimizer(kind="adam", lr=0.1)
+        p = [np.zeros((2, 3)), np.zeros(3)]
+        opt.step(p, [np.ones((2, 3)), np.ones(3)])
+        snap_m = opt.buffers["flat"]["m"].copy()
+        with pytest.raises(InvalidArgument) as info:
+            opt.step([p[0]], [np.ones((2, 3))])
+        assert str(info.value) == (
+            "parameter layout [(2, 3)] does not match the optimizer's [(2, 3), (3,)]"
+        )
+        with pytest.raises(InvalidArgument, match="does not match"):
+            opt.step([p[1], p[0]], [np.ones(3), np.ones((2, 3))])
+        np.testing.assert_array_equal(opt.buffers["flat"]["m"], snap_m)
+        assert opt.t == 1
 
     def test_bad_hyperparams(self):
         with pytest.raises(InvalidArgument):
@@ -57,25 +110,75 @@ class TestConvergence:
     def test_quadratic(self, kind):
         # f(p) = p^2 / 2, gradient p; drive |p| below 1e-3 from p=1.
         opt = Optimizer(kind=kind, lr=1e-2)
-        p = {"w": np.array([1.0])}
+        p = [np.array([1.0])]
         for _ in range(10_000):
-            opt.step(p, {"w": p["w"].copy()})
-            if abs(p["w"][0]) < 1e-3:
+            opt.step(p, [p[0].copy()])
+            if abs(p[0][0]) < 1e-3:
                 break
-        assert abs(p["w"][0]) < 1e-3
+        assert abs(p[0][0]) < 1e-3
 
 
 class TestState:
     def test_roundtrip_continues_identically(self):
         rng = np.random.default_rng(0)
-        grads = [rng.standard_normal(3) for _ in range(20)]
-        opt1 = Optimizer(kind="adam", lr=0.05)
-        p1 = {"w": np.zeros(3)}
-        for g in grads[:10]:
-            opt1.step(p1, {"w": g})
-        opt2 = Optimizer.from_state_dict(opt1.state_dict())
-        p2 = {"w": p1["w"].copy()}
-        for g in grads[10:]:
-            opt1.step(p1, {"w": g})
-            opt2.step(p2, {"w": g})
-        np.testing.assert_array_equal(p1["w"], p2["w"])
+        grads = [[rng.standard_normal(3), rng.standard_normal((2, 2))] for _ in range(20)]
+        for kind in ("sgd_momentum", "adam"):
+            opt1 = Optimizer(kind=kind, lr=0.05)
+            p1 = [np.zeros(3), np.zeros((2, 2))]
+            for g in grads[:10]:
+                opt1.step(p1, g)
+            opt2 = Optimizer.from_state_dict(opt1.state_dict())
+            assert opt2.layout == opt1.layout == [(3,), (2, 2)]
+            p2 = [a.copy() for a in p1]
+            for g in grads[10:]:
+                opt1.step(p1, g)
+                opt2.step(p2, g)
+            for a, b in zip(p1, p2):
+                np.testing.assert_array_equal(a, b)
+
+    def test_never_stepped_roundtrip(self):
+        opt = Optimizer.from_state_dict(Optimizer(kind="adam", lr=0.5).state_dict())
+        assert opt.t == 0 and opt.layout is None and opt.buffers == {}
+        opt.step([np.zeros(2)], [np.ones(2)])
+        assert opt.layout == [(2,)]
+
+    def test_missing_moment_rejected(self):
+        state = Optimizer(kind="adam").state_dict()
+        state["layout"] = [[2, 2]]
+        state["buffers"] = {"flat": {"m": np.zeros(4)}}
+        with pytest.raises(KeyError):
+            Optimizer.from_state_dict(state)
+
+
+class TestBenchmarkContract:
+    """What the benchmark's tracer and checkpoint check read from an optimizer."""
+
+    def test_params_list_counts_arrays(self, monkeypatch):
+        # The tracer counts arrays per step as len(args[1]) of Optimizer.step:
+        # W, the backbone's weight and bias, and 4 arrays per regressor.
+        calls = []
+        real = Optimizer.step
+
+        def spy(self, params, grads):
+            calls.append((len(params), len(grads)))
+            return real(self, params, grads)
+
+        monkeypatch.setattr(Optimizer, "step", spy)
+        fs = synth_gaussian(SynthSpec(classes=4, per_class=4, feature_dim=6, seed=2))
+        cfg = TrainConfig(embedding_dim=6, num_groups=3, iterations=1, batch_classes=2,
+                          samples_per_class=2, diversity="adversarial", regressor_hidden=3,
+                          use_backbone=True, backbone_dim=5)
+        run(cfg, fs)
+        assert calls == [(1 + 2 + 3 * 4, 1 + 2 + 3 * 4)]
+
+    def test_state_dict_buffers_are_two_level(self):
+        opt = Optimizer(kind="adam")
+        opt.step([np.zeros(2)], [np.ones(2)])
+        state = opt.state_dict()
+        for key in ("kind", "lr", "momentum", "beta1", "beta2", "eps", "t"):
+            assert key in state
+        for name, buf in state["buffers"].items():
+            assert isinstance(name, str)
+            for key, arr in buf.items():
+                assert isinstance(key, str) and isinstance(arr, np.ndarray)
+                assert arr is not opt.buffers[name][key]

@@ -5,6 +5,7 @@ import pytest
 
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.data_io import SynthSpec, synth_gaussian
+from metricboost.diversity import adversarial_loss
 from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.linalg import make_rng
 from metricboost.optim import Optimizer
@@ -165,6 +166,26 @@ class TestTrainStep:
         train_step(cfg, model, bank, opt, X, batch)
         after = accumulate_W_gradient(model, X, batch.pairs, cfg.loss_spec()).loss
         assert after < before
+
+    def test_adversarial_step_moves_bank_by_scaled_gradient(self):
+        # First SGD step: each regressor array moves by -lr * lambda_div * grad.
+        fs = _toy_set()
+        cfg = TrainConfig(embedding_dim=8, num_groups=3, lr=1e-2, iterations=1,
+                          batch_classes=3, samples_per_class=3, seed=1,
+                          optimizer="sgd_momentum", diversity="adversarial",
+                          lambda_div=0.5, regressor_hidden=4)
+        rng = make_rng(cfg.seed)
+        model, bank = build_model(cfg, fs.feature_dim, rng)
+        batch = sample_batch(fs, 3, 3, rng)
+        X = fs.features[batch.indices]
+        grads = adversarial_loss(model, bank, X, cfg.lambda_w).regressor_grads
+        before = bank.copy()
+        opt = Optimizer(kind="sgd_momentum", lr=cfg.lr)
+        train_step(cfg, model, bank, opt, X, batch)
+        for key in bank.keys():
+            for part in ("W1", "b1", "W2", "b2"):
+                want = getattr(before[key], part) - cfg.lr * (0.5 * getattr(grads[key], part))
+                np.testing.assert_array_equal(getattr(bank[key], part), want)
 
     def test_mismatched_mining_rejected(self):
         fs = _toy_set()
