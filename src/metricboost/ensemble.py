@@ -221,7 +221,10 @@ class EnsembleModel:
         feats = np.asarray(x, dtype=np.float64)
         if feats.ndim != 2:
             raise InvalidArgument("expected a 2-D batch of feature rows")
-        full = self.forward_batch(feats)
+        return self._weight_groups(self.forward_batch(feats), weight_exponent, renormalize_full)
+
+    def _weight_groups(self, full, weight_exponent, renormalize_full):
+        """Inference-time embeddings from raw batch outputs `full` (n, d)."""
         out = np.empty_like(full)
         for m, sl in enumerate(self.partition.slices()):
             norms = np.linalg.norm(full[:, sl], axis=1)

@@ -1,5 +1,9 @@
 """Retrieval and diversity diagnostics.
 
+`evaluate_model` runs the embedding forward once, F = model.forward_batch(X),
+and derives every diagnostic from F: the weighted ensemble embedding, the
+per-learner Recall@1 and both correlations.
+
 Recall@K ranks every other sample by dot-product similarity of the
 inference-time embeddings (ties broken by ascending sample index) and scores
 a query as hit when any of its top K carries the query's label. It is one
@@ -10,6 +14,10 @@ surviving score is tied with entries left out is re-ranked over every entry
 at or above that score, so the result equals a full sort exactly. Memory is
 O(_BLOCK * N); non-finite embeddings and overflowing similarities raise
 InvalidArgument.
+
+Per-learner Recall@1 is one sweep over blocks of _BLOCK query rows: each
+block scores every group's unit rows and takes the first maximum per row,
+which is the same tie rule with K = 1.
 
 The two correlation diagnostics quantify ensemble redundancy, lower meaning
 more diverse: feature correlation is the mean absolute Pearson correlation
@@ -68,27 +76,48 @@ def recall_at_k(embeddings, labels, ks):
     return {k: float(np.mean(first_hit < k)) for k in sorted(set(ks))}
 
 
-def per_learner_recall_at_1(model, features, labels):
-    """Recall@1 of each group on its own, cosine similarity within the group."""
-    F = model.forward_batch(np.asarray(features, dtype=np.float64))
-    out = []
-    for sl in model.partition.slices():
+def per_learner_recall_at_1(F, partition, labels):
+    """Recall@1 of each group on its own, cosine similarity within the group.
+
+    `F` holds the raw embeddings (n, d). A group row of zero norm stays zero
+    and scores 0 against every sample.
+    """
+    F = np.asarray(F, dtype=np.float64)
+    labels = np.asarray(labels)
+    if F.ndim != 2 or F.shape[0] != labels.shape[0]:
+        raise InvalidArgument("embeddings and labels disagree")
+    n = F.shape[0]
+    if n < 2:
+        raise InvalidArgument("need at least 2 samples")
+    units = []
+    for sl in partition.slices():
         sub = F[:, sl]
         norms = np.linalg.norm(sub, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        out.append(recall_at_k(sub / norms, labels, [1])[1])
-    return out
+        units.append(sub / norms)
+    if not all(np.isfinite(U).all() for U in units):
+        raise InvalidArgument("embeddings must be finite")
+    nearest = np.empty((len(units), n), dtype=np.intp)
+    for lo in range(0, n, _BLOCK):
+        q = np.arange(min(_BLOCK, n - lo))
+        for m, U in enumerate(units):
+            S = U[lo:lo + _BLOCK] @ U.T
+            if not np.isfinite(S).all():
+                raise InvalidArgument("similarities overflow float64")
+            S[q, lo + q] = -np.inf
+            nearest[m, lo:lo + len(q)] = S.argmax(axis=1)  # first maximum: lowest index wins
+    return [float(np.mean(labels[nn] == labels)) for nn in nearest]
 
 
-def feature_correlation(model, features):
-    """Mean |Pearson| over all cross-group dimension pairs of raw outputs.
+def feature_correlation(F, partition):
+    """Mean |Pearson| over all cross-group dimension pairs of raw outputs `F`.
 
     Constant dimensions are skipped (and logged); with fewer than two groups
     the quantity is undefined.
     """
-    if model.num_groups < 2:
+    if partition.num_groups < 2:
         raise InvalidArgument("feature correlation needs at least 2 groups")
-    F = model.forward_batch(np.asarray(features, dtype=np.float64))
+    F = np.asarray(F, dtype=np.float64)
     n, d = F.shape
     if n < 2:
         raise InvalidArgument("need at least 2 samples")
@@ -99,7 +128,7 @@ def feature_correlation(model, features):
     if n_constant:
         log.debug("feature_correlation: skipping %d constant dimensions", n_constant)
     group_of = np.empty(d, dtype=np.intp)
-    for m, sl in enumerate(model.partition.slices()):
+    for m, sl in enumerate(partition.slices()):
         group_of[sl] = m
     safe = np.where(valid, norms, 1.0)
     Z = centered / safe
@@ -112,18 +141,18 @@ def feature_correlation(model, features):
     return float(np.clip(vals, 0.0, 1.0).mean())
 
 
-def classifier_correlation(model, features, index_a, index_b):
-    """Mean |Pearson| between learners' per-pair cosine score vectors."""
-    if model.num_groups < 2:
+def classifier_correlation(F, partition, index_a, index_b):
+    """Mean |Pearson| between learners' per-pair cosine score vectors of raw outputs `F`."""
+    if partition.num_groups < 2:
         raise InvalidArgument("classifier correlation needs at least 2 groups")
     index_a = np.asarray(index_a, dtype=np.intp)
     index_b = np.asarray(index_b, dtype=np.intp)
     if len(index_a) != len(index_b) or len(index_a) < 2:
         raise InvalidArgument("need at least 2 evaluation pairs")
-    F = model.forward_batch(np.asarray(features, dtype=np.float64))
+    F = np.asarray(F, dtype=np.float64)
     scores = []
     keep = np.ones(len(index_a), dtype=bool)
-    for sl in model.partition.slices():
+    for sl in partition.slices():
         u = F[index_a, sl]
         v = F[index_b, sl]
         nu = np.linalg.norm(u, axis=1)
@@ -233,19 +262,18 @@ class EvalReport:
 
 def evaluate_model(model, fs, ks=(1, 2, 4, 8), weight_exponent=1.0,
                    renormalize_full=False, n_eval_pairs=2000, pair_seed=0):
-    """Full diagnostic report on a feature set."""
-    emb = model.test_embeddings(
-        fs.features, weight_exponent=weight_exponent, renormalize_full=renormalize_full
-    )
+    """Full diagnostic report on a feature set, from one embedding forward."""
+    F = model.forward_batch(np.asarray(fs.features, dtype=np.float64))
+    emb = model._weight_groups(F, weight_exponent, renormalize_full)
     recall = recall_at_k(emb, fs.labels, ks)
-    per_learner = per_learner_recall_at_1(model, fs.features, fs.labels)
+    per_learner = per_learner_recall_at_1(F, model.partition, fs.labels)
     feature_corr = None
     clf_corr = None
     if model.num_groups >= 2:
-        feature_corr = feature_correlation(model, fs.features)
+        feature_corr = feature_correlation(F, model.partition)
         rng = make_rng(pair_seed)
         ia, ib = make_eval_pairs(fs.labels, rng, max_pairs=n_eval_pairs)
-        clf_corr = classifier_correlation(model, fs.features, ia, ib)
+        clf_corr = classifier_correlation(F, model.partition, ia, ib)
     return EvalReport(
         recall_at=recall,
         feature_corr=feature_corr,

@@ -7,6 +7,10 @@ from .errors import InvalidArgument, NumericFailure
 # Moment vectors each kind keeps, in payload order.
 MOMENTS = {"sgd_momentum": ("vel",), "adam": ("m", "v")}
 
+# Elements per update block. A step's two f64 scratch blocks (64 KB each)
+# stay below glibc's default 128 KB mmap threshold, so they come from the heap.
+_BLOCK = 8192
+
 
 class Optimizer:
     """Single-owner update rule over a fixed list of parameter arrays.
@@ -17,6 +21,11 @@ class Optimizer:
     Each moment is one flat f64 vector in `buffers["flat"]`, sliced per
     array in list order. The first step fixes the list of shapes (`layout`);
     every later step must pass arrays of those shapes in that order.
+
+    A step walks each array's flat view in blocks of _BLOCK elements and
+    evaluates the update expressions in their usual order with `out=` into
+    two block-sized scratch arrays, so it allocates no array-sized
+    temporaries and moves no float bit.
     """
 
     def __init__(self, kind="adam", lr=1e-3, momentum=0.9,
@@ -38,8 +47,9 @@ class Optimizer:
     def step(self, params, grads):
         """One update over equal-length lists of arrays; params mutate in place.
 
-        Shapes and gradients are checked before any state is touched: a
-        mismatch or a NaN/Inf gradient refuses the whole step and leaves
+        Shapes, gradients and parameters are checked before any state is
+        touched: a mismatch, a NaN/Inf gradient or a parameter array that is
+        not writeable and C-contiguous refuses the whole step and leaves
         parameters, moments, `t` and the layout exactly as they were.
         """
         if len(params) != len(grads):
@@ -54,36 +64,57 @@ class Optimizer:
                 f"parameter layout {layout} does not match the optimizer's {self.layout}"
             )
         for k, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
+            if not _all_finite(g):
                 raise NumericFailure(
                     f"non-finite gradient for array {k} of shape {g.shape}; step refused"
                 )
+        for k, p in enumerate(params):
+            if not (p.flags.c_contiguous and p.flags.writeable):
+                raise InvalidArgument(f"parameter array {k} is not writeable and C-contiguous")
         if self.layout is None:
             size = sum(p.size for p in params)
             self.buffers = {"flat": {key: np.zeros(size) for key in MOMENTS[self.kind]}}
             self.layout = layout
-        flat = self.buffers["flat"]
+        moments = [self.buffers["flat"][key] for key in MOMENTS[self.kind]]
+        update = self._sgd_block if self.kind == "sgd_momentum" else self._adam_block
         self.t += 1
+        a = np.empty(min(_BLOCK, max((p.size for p in params), default=0)))
+        b = np.empty_like(a)
         off = 0
-        if self.kind == "sgd_momentum":
-            for p, g in zip(params, grads):
-                vel = flat["vel"][off:off + p.size].reshape(p.shape)
-                off += p.size
-                vel *= self.momentum
-                vel += g
-                p -= self.lr * vel
-        else:
-            c1 = 1.0 - self.beta1 ** self.t
-            c2 = 1.0 - self.beta2 ** self.t
-            for p, g in zip(params, grads):
-                m = flat["m"][off:off + p.size].reshape(p.shape)
-                v = flat["v"][off:off + p.size].reshape(p.shape)
-                off += p.size
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g ** 2
-                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for p, g in zip(params, grads):
+            flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+            for lo in range(0, p.size, _BLOCK):
+                hi = min(lo + _BLOCK, p.size)
+                update(flat_p[lo:hi], flat_g[lo:hi],
+                       *[mom[off + lo:off + hi] for mom in moments], a[:hi - lo], b[:hi - lo])
+            off += p.size
+
+    def _sgd_block(self, p, g, vel, a, _):
+        """vel <- mu vel + g;  p <- p - lr vel, with scratch `a`."""
+        vel *= self.momentum
+        vel += g
+        np.multiply(self.lr, vel, out=a)
+        p -= a
+
+    def _adam_block(self, p, g, m, v, a, b):
+        """Both moment updates, then p <- p - lr (m / c1) / (sqrt(v / c2) + eps),
+        with scratch `a` and `b`."""
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
+        v *= self.beta2
+        np.square(g, out=a)
+        np.multiply(1.0 - self.beta2, a, out=a)
+        v += a
+        np.divide(m, c1, out=a)
+        np.multiply(self.lr, a, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        p -= a
 
     def state_dict(self):
         return {
@@ -116,3 +147,16 @@ class Optimizer:
             opt.buffers = {"flat": {key: np.require(flat[key], np.float64, ["C", "W"])
                                     for key in MOMENTS[opt.kind]}}
         return opt
+
+
+def _all_finite(a):
+    """True when no element of `a` is NaN or infinite, without an a-sized temporary.
+
+    A finite sum proves it at once; only an overflowing sum of finite
+    elements falls back to checking blocks of _BLOCK elements.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return True
+    flat = a.reshape(-1)
+    return all(np.isfinite(flat[lo:lo + _BLOCK]).all() for lo in range(0, flat.size, _BLOCK))

@@ -411,6 +411,12 @@ def _fmt(v):
     return repr(float(v))
 
 
+def _open_metrics(path):
+    fh = open(path, "w", encoding="utf-8")
+    fh.write(METRICS_HEADER + "\n")
+    return fh
+
+
 def _eval_row(cfg, model, fs, iteration):
     ks = tuple(sorted(set(cfg.eval_ks) | {1}))  # the CSV row always needs r@1
     report = evaluate_model(
@@ -457,10 +463,8 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
     class_idx = fs.class_indices()
     eval_data = eval_fs if eval_fs is not None else fs
     rows = []
-    fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
+    fh = None  # opened once the first step returns: a refused resume keeps the old file
     try:
-        if fh:
-            fh.write(METRICS_HEADER + "\n")
         for it in range(start_iter, cfg.iterations):
             batch = sample_batch(
                 fs, cfg.batch_classes, cfg.samples_per_class, rng,
@@ -471,6 +475,8 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
                 step = train_step(cfg, model, bank, opt, X, batch)
             except NumericFailure as exc:
                 raise NumericFailure(f"iteration {it}: {exc}") from exc
+            if metrics_path and fh is None:
+                fh = _open_metrics(metrics_path)
             if step.n_skipped:
                 log.debug("iteration %d: skipped %d degenerate items", it, step.n_skipped)
             if cfg.eval_interval and (it + 1) % cfg.eval_interval == 0:
@@ -483,6 +489,8 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
                 if fh:
                     fh.write(",".join(_fmt(v) for v in row) + "\n")
                     fh.flush()
+        if metrics_path and fh is None:
+            fh = _open_metrics(metrics_path)
     finally:
         if fh:
             fh.close()

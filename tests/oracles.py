@@ -4,8 +4,11 @@ These deliberately avoid the library's vectorized code paths: plain Python
 loops and sorts only, so they can vouch for the fast implementations. The
 exception is `per_pair_gradient`, the earlier boosting kernel kept as a
 reference for the Gram-matrix one: it builds a cosine gradient row per item
-and endpoint and scatters them with np.add.at; and `enumerated_eval_pairs`,
-the earlier `make_eval_pairs` that lists all N(N-1)/2 pairs.
+and endpoint and scatters them with np.add.at; `enumerated_eval_pairs`,
+the earlier `make_eval_pairs` that lists all N(N-1)/2 pairs;
+`per_group_recall_at_1`, the earlier per-learner Recall@1 with one full
+`recall_at_k` pass per group; and `whole_array_step`, the earlier optimizer
+update with whole-array expressions per parameter.
 """
 
 import math
@@ -14,6 +17,8 @@ import numpy as np
 
 from metricboost.boosting import PairBatch, boost_backward_pair, boost_step_triplet
 from metricboost.ensemble import cosine_sim_grad_batch
+from metricboost.evaluate import recall_at_k
+from metricboost.optim import MOMENTS
 
 
 def brute_force_recall(embeddings, labels, k):
@@ -53,6 +58,47 @@ def enumerated_eval_pairs(labels, rng, max_pairs=2000):
         pick.sort()
         neg_i, neg_j = neg_i[pick], neg_j[pick]
     return np.concatenate([pos_i, neg_i]), np.concatenate([pos_j, neg_j])
+
+
+def per_group_recall_at_1(F, partition, labels):
+    """Recall@1 of each group by its own `recall_at_k` pass over its unit rows."""
+    out = []
+    for sl in partition.slices():
+        sub = F[:, sl]
+        norms = np.linalg.norm(sub, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        out.append(recall_at_k(sub / norms, labels, [1])[1])
+    return out
+
+
+def whole_array_step(opt, params, grads):
+    """One `Optimizer.step` update on `opt` by whole-array expressions, without checks."""
+    if opt.layout is None:
+        size = sum(p.size for p in params)
+        opt.buffers = {"flat": {key: np.zeros(size) for key in MOMENTS[opt.kind]}}
+        opt.layout = [p.shape for p in params]
+    flat = opt.buffers["flat"]
+    opt.t += 1
+    off = 0
+    if opt.kind == "sgd_momentum":
+        for p, g in zip(params, grads):
+            vel = flat["vel"][off:off + p.size].reshape(p.shape)
+            off += p.size
+            vel *= opt.momentum
+            vel += g
+            p -= opt.lr * vel
+    else:
+        c1 = 1.0 - opt.beta1 ** opt.t
+        c2 = 1.0 - opt.beta2 ** opt.t
+        for p, g in zip(params, grads):
+            m = flat["m"][off:off + p.size].reshape(p.shape)
+            v = flat["v"][off:off + p.size].reshape(p.shape)
+            off += p.size
+            m *= opt.beta1
+            m += (1.0 - opt.beta1) * g
+            v *= opt.beta2
+            v += (1.0 - opt.beta2) * g ** 2
+            p -= opt.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
 
 
 def pearson_by_hand(a, b):

@@ -134,15 +134,21 @@ class TestTrain:
     def test_resume_with_other_trained_arrays_exits_1(self, tmp_path, train_cfg, data_file,
                                                        capsys, first, second):
         half = tmp_path / "half.ckpt"
+        csv = tmp_path / "metrics.csv"
         assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
-                     "--out", str(half), "--set", "iterations=40"] + first) == 0
+                     "--out", str(half), "--metrics", str(csv), "--set", "iterations=40",
+                     "--set", "eval_interval=20"] + first) == 0
+        rows = csv.read_bytes()
+        assert rows.count(b"\n") == 3
         capsys.readouterr()
         code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
-                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(half)] + second)
+                     "--out", str(tmp_path / "r.ckpt"), "--metrics", str(csv),
+                     "--resume", str(half)] + second)
         assert code == 1
         assert "parameter layout [(12, 8)] does not match the optimizer's [(12, 8), " in (
             capsys.readouterr().err)
         assert not (tmp_path / "r.ckpt").exists()
+        assert csv.read_bytes() == rows  # the refused resume truncated nothing
 
     def test_resume_from_name_keyed_checkpoint_exits_2(self, tmp_path, train_cfg, data_file,
                                                        capsys):
@@ -202,6 +208,19 @@ class TestEval:
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"])
         assert code == 1
         assert "embeddings must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_similarities_exit_1(self, tmp_path, train_cfg, data_file, capsys):
+        # alpha_1 = 1/3, so a weight exponent of -400 scales group 1 by 3**400
+        # (about 1e190): finite embeddings whose dot products overflow.
+        ckpt = tmp_path / "model.ckpt"
+        main(["train", "--data", str(data_file), "--config", str(train_cfg),
+              "--out", str(ckpt)])
+        capsys.readouterr()
+        code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1",
+                     "--weight-exponent=-400"])
+        assert code == 1
+        assert "similarities overflow float64" in capsys.readouterr().err
 
     def test_trailing_checkpoint_bytes_exit_2(self, tmp_path, train_cfg, data_file, capsys):
         ckpt = tmp_path / "model.ckpt"

@@ -8,14 +8,21 @@ from metricboost.data_io import FeatureSet, SynthSpec, synth_gaussian
 from metricboost.ensemble import EnsembleModel, GroupPartition, init_model
 from metricboost.errors import InvalidArgument, UndefinedCorrelation
 from metricboost.evaluate import (
+    EvalReport,
     classifier_correlation,
     evaluate_model,
     feature_correlation,
     make_eval_pairs,
+    per_learner_recall_at_1,
     recall_at_k,
 )
 from metricboost.linalg import make_rng
-from oracles import brute_force_recall, enumerated_eval_pairs, pearson_by_hand
+from oracles import (
+    brute_force_recall,
+    enumerated_eval_pairs,
+    pearson_by_hand,
+    per_group_recall_at_1,
+)
 
 
 class TestRecall:
@@ -148,6 +155,65 @@ class TestBlockedRecall:
         assert peak < 64 * 2**20
 
 
+class TestPerLearnerRecall:
+    """The one-sweep Recall@1 against a full recall_at_k pass per group."""
+
+    PART = GroupPartition((2, 3, 4))
+
+    def _same(self, F, labels):
+        got = per_learner_recall_at_1(F, self.PART, labels)
+        assert got == per_group_recall_at_1(F, self.PART, labels)
+        return got
+
+    def test_random_sets(self):
+        rng = make_rng(50)
+        for _ in range(10):
+            n = int(rng.integers(2, 700))
+            self._same(rng.standard_normal((n, 9)), rng.integers(0, int(rng.integers(1, 40)), n))
+
+    def test_sign_valued_ties_at_the_top(self, monkeypatch):
+        # Few distinct unit rows per group: most queries tie at their best score.
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        rng = make_rng(51)
+        F = rng.choice([-1.0, 1.0], size=(150, 9))
+        self._same(F, rng.integers(0, 12, size=150))
+
+    def test_zero_norm_rows(self):
+        rng = make_rng(52)
+        F = rng.integers(-1, 2, size=(120, 9)).astype(float)
+        F[::7, :2] = 0.0  # group 0 rows at zero stay zero and score 0 against all
+        F[3] = 0.0
+        got = self._same(F, rng.integers(0, 10, size=120))
+        assert len(got) == 3
+
+    def test_n_below_one_block(self):
+        rng = make_rng(53)
+        self._same(rng.standard_normal((90, 9)), rng.integers(0, 9, size=90))
+        self._same(rng.standard_normal((2, 9)), np.array([0, 0]))
+
+    @pytest.mark.parametrize("n", [16, 32, 33, 100])
+    def test_block_edges(self, monkeypatch, n):
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        rng = make_rng(54 + n)
+        F = rng.integers(-2, 3, size=(n, 9)).astype(float)
+        self._same(F, rng.integers(0, 6, size=n))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_embeddings_rejected(self, bad):
+        F = make_rng(55).standard_normal((10, 9))
+        F[4, 7] = bad
+        with pytest.raises(InvalidArgument, match="embeddings must be finite"):
+            per_learner_recall_at_1(F, self.PART, np.arange(10) % 2)
+
+    def test_labels_must_match_rows(self):
+        F = make_rng(56).standard_normal((10, 9))
+        with pytest.raises(InvalidArgument, match="disagree"):
+            per_learner_recall_at_1(F, self.PART, np.arange(9))
+        with pytest.raises(InvalidArgument, match="at least 2 samples"):
+            per_learner_recall_at_1(F[:1], self.PART, [0])
+
+
 class TestFeatureCorrelation:
     def test_duplicated_groups_are_fully_correlated(self):
         # One dimension per group and group 2 an exact copy of group 1: the
@@ -157,7 +223,8 @@ class TestFeatureCorrelation:
         W = np.concatenate([base, base], axis=1)
         model = EnsembleModel(W, GroupPartition((1, 1)))
         X = rng.standard_normal((50, 4))
-        assert feature_correlation(model, X) == pytest.approx(1.0, abs=1e-12)
+        got = feature_correlation(model.forward_batch(X), model.partition)
+        assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_duplicate_dimensions(self):
         # Every cross-group pair a scalar multiple of the other: mean is 1.
@@ -166,7 +233,8 @@ class TestFeatureCorrelation:
         W = np.concatenate([base, 2 * base, -3 * base], axis=1)
         model = EnsembleModel(W, GroupPartition((1, 1, 1)))
         X = rng.standard_normal((50, 4))
-        assert feature_correlation(model, X) == pytest.approx(1.0, abs=1e-9)
+        got = feature_correlation(model.forward_batch(X), model.partition)
+        assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_independent_groups_approach_zero(self):
         # Groups read disjoint independent input coordinates.
@@ -175,12 +243,13 @@ class TestFeatureCorrelation:
         W[4, 2] = W[5, 3] = 1.0
         model = EnsembleModel(W, GroupPartition((2, 2)))
         X = make_rng(0).standard_normal((5000, 8))
-        assert feature_correlation(model, X) < 0.1
+        assert feature_correlation(model.forward_batch(X), model.partition) < 0.1
 
     def test_single_group_rejected(self):
         model = EnsembleModel(np.eye(3), GroupPartition((3,)))
+        X = np.random.default_rng(0).standard_normal((10, 3))
         with pytest.raises(InvalidArgument):
-            feature_correlation(model, np.random.default_rng(0).standard_normal((10, 3)))
+            feature_correlation(model.forward_batch(X), model.partition)
 
     def test_constant_dimension_skipped(self):
         rng = make_rng(11)
@@ -188,7 +257,7 @@ class TestFeatureCorrelation:
         W[:, 0] = 0.0  # first output dimension constant at zero
         model = EnsembleModel(W, GroupPartition((2, 2)))
         X = rng.standard_normal((30, 4))
-        value = feature_correlation(model, X)
+        value = feature_correlation(model.forward_batch(X), model.partition)
         # Compare against the mean over the remaining cross-group pairs.
         F = X @ W
         vals = []
@@ -216,7 +285,8 @@ class TestClassifierCorrelation:
         model = EnsembleModel(W, GroupPartition((2, 2)))
         X = rng.standard_normal((20, 4))
         ia, ib = np.arange(10), np.arange(10, 20)
-        assert classifier_correlation(model, X, ia, ib) == pytest.approx(1.0)
+        got = classifier_correlation(model.forward_batch(X), model.partition, ia, ib)
+        assert got == pytest.approx(1.0)
 
     def test_negated_scores_still_one(self):
         # Learner 2's scores are the negation of learner 1's: |r| = 1.
@@ -226,14 +296,15 @@ class TestClassifierCorrelation:
         model = EnsembleModel(W, GroupPartition((2, 2)))
         X = rng.standard_normal((20, 4))
         ia, ib = np.arange(10), np.arange(10, 20)
-        assert classifier_correlation(model, X, ia, ib) == pytest.approx(1.0)
+        got = classifier_correlation(model.forward_batch(X), model.partition, ia, ib)
+        assert got == pytest.approx(1.0)
 
     def test_three_learners_hand_computed(self):
         rng = make_rng(14)
         model = init_model(rng, 6, GroupPartition((2, 2, 2)))
         X = rng.standard_normal((30, 6))
         ia, ib = np.arange(15), np.arange(15, 30)
-        got = classifier_correlation(model, X, ia, ib)
+        got = classifier_correlation(model.forward_batch(X), model.partition, ia, ib)
         F = X @ model.W
         scores = []
         for sl in model.partition.slices():
@@ -252,14 +323,15 @@ class TestClassifierCorrelation:
         rng = make_rng(15)
         X = np.abs(rng.standard_normal((10, 2))) + 0.1
         with pytest.raises(UndefinedCorrelation):
-            classifier_correlation(model, X, np.arange(5), np.arange(5, 10))
+            classifier_correlation(model.forward_batch(X), model.partition,
+                                   np.arange(5), np.arange(5, 10))
 
     def test_needs_two_pairs(self):
         rng = make_rng(16)
         model = init_model(rng, 4, GroupPartition((2, 2)))
         X = rng.standard_normal((4, 4))
         with pytest.raises(InvalidArgument):
-            classifier_correlation(model, X, [0], [1])
+            classifier_correlation(model.forward_batch(X), model.partition, [0], [1])
 
 
 class TestEvaluateModel:
@@ -281,6 +353,42 @@ class TestEvaluateModel:
         report = evaluate_model(model, fs, ks=(1,))
         assert report.feature_corr is None
         assert report.clf_corr is None
+
+    def test_one_forward(self, monkeypatch):
+        fs = synth_gaussian(SynthSpec(classes=4, per_class=5, feature_dim=8, seed=3))
+        model = init_model(make_rng(1), 6, GroupPartition((2, 4)), backbone_in_dim=8)
+        calls = []
+        real = EnsembleModel.forward_batch
+
+        def spy(self, x):
+            calls.append(len(x))
+            return real(self, x)
+
+        monkeypatch.setattr(EnsembleModel, "forward_batch", spy)
+        evaluate_model(model, fs, ks=(1, 2))
+        assert calls == [20]
+
+    @pytest.mark.parametrize("exponent,renormalize", [(1.0, False), (0.5, True), (2.0, False)])
+    def test_report_equals_the_separate_passes(self, monkeypatch, exponent, renormalize):
+        # The ensemble from test_embeddings, Recall@1 from a recall_at_k pass
+        # per group, and each correlation from its own forward.
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        fs = synth_gaussian(SynthSpec(classes=12, per_class=8, feature_dim=10, seed=4))
+        model = init_model(make_rng(2), 10, GroupPartition((3, 5, 8)))
+        got = evaluate_model(model, fs, ks=(1, 4), weight_exponent=exponent,
+                             renormalize_full=renormalize, n_eval_pairs=300, pair_seed=9)
+        emb = model.test_embeddings(fs.features, weight_exponent=exponent,
+                                    renormalize_full=renormalize)
+        ia, ib = make_eval_pairs(fs.labels, make_rng(9), max_pairs=300)
+        want = EvalReport(
+            recall_at=recall_at_k(emb, fs.labels, (1, 4)),
+            feature_corr=feature_correlation(model.forward_batch(fs.features), model.partition),
+            clf_corr=classifier_correlation(model.forward_batch(fs.features), model.partition,
+                                            ia, ib),
+            per_learner_r1=per_group_recall_at_1(model.forward_batch(fs.features),
+                                                 model.partition, fs.labels),
+        )
+        assert got.csv() == want.csv()
 
     def test_eval_pairs_deterministic(self):
         labels = np.repeat(np.arange(5), 6)

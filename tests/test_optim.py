@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from metricboost import optim
 from metricboost.data_io import SynthSpec, synth_gaussian
 from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.optim import Optimizer
 from metricboost.trainer import TrainConfig, run
+from oracles import whole_array_step
 
 
 class TestStep:
@@ -103,6 +107,82 @@ class TestStep:
             Optimizer(kind="rmsprop")
         with pytest.raises(InvalidArgument):
             Optimizer(lr=0.0)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlockedUpdate:
+    """The block walk against the whole-array expressions it replaced."""
+
+    B = optim._BLOCK
+    SHAPES = [(), (3, 4), (B - 1,), (B,), (B + 1,), (2, B + 3), (5,)]
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_bit_identical_to_whole_array_update(self, kind):
+        rng = np.random.default_rng(40)
+        # Mixed scales per array, so m/c1 and sqrt(v/c2) cover many exponents.
+        scales = [10.0 ** rng.integers(-6, 4) for _ in self.SHAPES]
+        params = [np.array(s * rng.standard_normal(shape))
+                  for s, shape in zip(scales, self.SHAPES)]
+        want = [p.copy() for p in params]
+        opt = Optimizer(kind=kind, lr=0.01)
+        ref = Optimizer(kind=kind, lr=0.01)
+        for _ in range(20):
+            grads = [s * rng.standard_normal(shape) for s, shape in zip(scales, self.SHAPES)]
+            opt.step(params, grads)
+            whole_array_step(ref, want, grads)
+        assert all(_same_bytes(p, w) for p, w in zip(params, want))
+        for key, buf in opt.buffers["flat"].items():
+            assert _same_bytes(buf, ref.buffers["flat"][key])
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_nan_in_last_block_of_last_array_refuses_step(self, kind):
+        rng = np.random.default_rng(41)
+        shapes = [(7,), (2 * self.B + 10,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        opt = Optimizer(kind=kind, lr=0.1)
+        opt.step(params, [rng.standard_normal(s) for s in shapes])
+        snap_p = [p.copy() for p in params]
+        snap = {k: v.copy() for k, v in opt.buffers["flat"].items()}
+        grads = [rng.standard_normal(s) for s in shapes]
+        grads[1][-1] = np.nan
+        with pytest.raises(NumericFailure, match="array 1"):
+            opt.step(params, grads)
+        assert all(_same_bytes(p, s) for p, s in zip(params, snap_p))
+        assert all(_same_bytes(opt.buffers["flat"][k], v) for k, v in snap.items())
+        assert opt.t == 1
+
+    def test_finite_gradient_with_overflowing_sum_accepted(self):
+        g = np.full(2 * self.B + 1, 1e308)
+        p = np.zeros_like(g)
+        Optimizer(kind="sgd_momentum", lr=1e-10).step([p], [g])
+        assert np.all(p == -(1e-10 * 1e308))
+
+    @pytest.mark.parametrize("param", [np.zeros((4, 3)).T, np.zeros((4, 3))[:, :2]])
+    def test_non_contiguous_parameter_refused(self, param):
+        # The block walk updates a flat view of each parameter; a copy would
+        # silently drop the update.
+        opt = Optimizer(kind="adam", lr=0.1)
+        with pytest.raises(InvalidArgument, match="array 1 is not writeable and C-contiguous"):
+            opt.step([np.zeros(2), param], [np.ones(2), np.ones(param.shape)])
+        assert opt.layout is None and opt.t == 0
+
+    def test_adam_step_allocates_no_array_sized_temporaries(self):
+        rng = np.random.default_rng(42)
+        W = rng.standard_normal((512, 512))
+        opt = Optimizer(kind="adam", lr=1e-3)
+        opt.step([W], [rng.standard_normal(W.shape)])  # allocates the moments
+        g = rng.standard_normal(W.shape)
+        tracemalloc.start()
+        try:
+            opt.step([W], [g])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 512 x 512 float64 temporary alone would be 2 MiB.
+        assert peak < 2**20
 
 
 class TestConvergence:

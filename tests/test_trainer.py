@@ -198,14 +198,16 @@ class TestTrainStep:
 
 
 class TestRun:
-    def test_zero_iterations_returns_initial_model(self):
+    def test_zero_iterations_returns_initial_model(self, tmp_path):
         fs = _toy_set()
         cfg = TrainConfig(embedding_dim=8, num_groups=2, iterations=0, seed=2)
-        result = run(cfg, fs)
+        result = run(cfg, fs, metrics_path=tmp_path / "m.csv")
         rng = make_rng(2)
         fresh, _ = build_model(cfg, fs.feature_dim, rng)
         np.testing.assert_array_equal(result.model.W, fresh.W)
         assert result.metrics_rows == []
+        # No step runs, so the file is written after the loop: header only.
+        assert (tmp_path / "m.csv").read_text() == result.metrics_csv()
 
     def test_deterministic_metrics(self, tmp_path):
         fs = _toy_set()
