@@ -11,13 +11,14 @@ row-blocked top-k pass: each block of _BLOCK query rows is scored against all
 N samples, argpartition keeps the K_max largest per row, and the survivors
 are sorted by descending score, then ascending index. A row whose smallest
 surviving score is tied with entries left out is re-ranked over every entry
-at or above that score, so the result equals a full sort exactly. Memory is
+at or above that score, so the result equals a full sort exactly. With
+K_max = 1 the block takes the first maximum per row (argmax), which is the
+same tie rule, and skips the partition, sort and re-rank. Memory is
 O(_BLOCK * N); non-finite embeddings and overflowing similarities raise
 InvalidArgument.
 
-Per-learner Recall@1 is one sweep over blocks of _BLOCK query rows: each
-block scores every group's unit rows and takes the first maximum per row,
-which is the same tie rule with K = 1.
+Per-learner Recall@1 is one such K = 1 pass per group over the group's unit
+rows.
 
 The two correlation diagnostics quantify ensemble redundancy, lower meaning
 more diverse: feature correlation is the mean absolute Pearson correlation
@@ -63,14 +64,17 @@ def recall_at_k(embeddings, labels, ks):
             raise InvalidArgument("similarities overflow float64")
         q = np.arange(len(S))
         S[q, lo + q] = -np.inf
-        top = np.sort(np.argpartition(S, n - kmax, axis=1)[:, n - kmax:], axis=1)
-        score = np.take_along_axis(S, top, axis=1)
-        top = np.take_along_axis(top, np.argsort(-score, axis=1, kind="stable"), axis=1)
-        cut = score.min(axis=1, keepdims=True)
-        # Ties straddling the cut: re-rank every entry >= cut by (-score, index).
-        for r in np.flatnonzero((S >= cut).sum(axis=1) > kmax):
-            cand = np.flatnonzero(S[r] >= cut[r])
-            top[r] = cand[np.lexsort((cand, -S[r, cand]))][:kmax]
+        if kmax == 1:
+            top = S.argmax(axis=1)[:, None]  # first maximum: lowest index wins ties
+        else:
+            top = np.sort(np.argpartition(S, n - kmax, axis=1)[:, n - kmax:], axis=1)
+            score = np.take_along_axis(S, top, axis=1)
+            top = np.take_along_axis(top, np.argsort(-score, axis=1, kind="stable"), axis=1)
+            cut = score.min(axis=1, keepdims=True)
+            # Ties straddling the cut: re-rank every entry >= cut by (-score, index).
+            for r in np.flatnonzero((S >= cut).sum(axis=1) > kmax):
+                cand = np.flatnonzero(S[r] >= cut[r])
+                top[r] = cand[np.lexsort((cand, -S[r, cand]))][:kmax]
         match = labels[top] == labels[lo:lo + len(S), None]
         first_hit[lo:lo + len(S)] = np.where(match.any(axis=1), match.argmax(axis=1), kmax)
     return {k: float(np.mean(first_hit < k)) for k in sorted(set(ks))}
@@ -83,30 +87,13 @@ def per_learner_recall_at_1(F, partition, labels):
     and scores 0 against every sample.
     """
     F = np.asarray(F, dtype=np.float64)
-    labels = np.asarray(labels)
-    if F.ndim != 2 or F.shape[0] != labels.shape[0]:
-        raise InvalidArgument("embeddings and labels disagree")
-    n = F.shape[0]
-    if n < 2:
-        raise InvalidArgument("need at least 2 samples")
-    units = []
+    out = []
     for sl in partition.slices():
         sub = F[:, sl]
         norms = np.linalg.norm(sub, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        units.append(sub / norms)
-    if not all(np.isfinite(U).all() for U in units):
-        raise InvalidArgument("embeddings must be finite")
-    nearest = np.empty((len(units), n), dtype=np.intp)
-    for lo in range(0, n, _BLOCK):
-        q = np.arange(min(_BLOCK, n - lo))
-        for m, U in enumerate(units):
-            S = U[lo:lo + _BLOCK] @ U.T
-            if not np.isfinite(S).all():
-                raise InvalidArgument("similarities overflow float64")
-            S[q, lo + q] = -np.inf
-            nearest[m, lo:lo + len(q)] = S.argmax(axis=1)  # first maximum: lowest index wins
-    return [float(np.mean(labels[nn] == labels)) for nn in nearest]
+        out.append(recall_at_k(sub / norms, labels, [1])[1])
+    return out
 
 
 def feature_correlation(F, partition):

@@ -64,7 +64,9 @@ class Optimizer:
                 f"parameter layout {layout} does not match the optimizer's {self.layout}"
             )
         for k, g in enumerate(grads):
-            if not _all_finite(g):
+            flat_g = g.reshape(-1)  # checked in blocks: no g-sized bool temporary
+            if not all(np.isfinite(flat_g[lo:lo + _BLOCK]).all()
+                       for lo in range(0, g.size, _BLOCK)):
                 raise NumericFailure(
                     f"non-finite gradient for array {k} of shape {g.shape}; step refused"
                 )
@@ -148,15 +150,3 @@ class Optimizer:
                                     for key in MOMENTS[opt.kind]}}
         return opt
 
-
-def _all_finite(a):
-    """True when no element of `a` is NaN or infinite, without an a-sized temporary.
-
-    A finite sum proves it at once; only an overflowing sum of finite
-    elements falls back to checking blocks of _BLOCK elements.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(a.sum()):
-            return True
-    flat = a.reshape(-1)
-    return all(np.isfinite(flat[lo:lo + _BLOCK]).all() for lo in range(0, flat.size, _BLOCK))

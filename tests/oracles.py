@@ -6,9 +6,9 @@ exception is `per_pair_gradient`, the earlier boosting kernel kept as a
 reference for the Gram-matrix one: it builds a cosine gradient row per item
 and endpoint and scatters them with np.add.at; `enumerated_eval_pairs`,
 the earlier `make_eval_pairs` that lists all N(N-1)/2 pairs;
-`per_group_recall_at_1`, the earlier per-learner Recall@1 with one full
-`recall_at_k` pass per group; and `whole_array_step`, the earlier optimizer
-update with whole-array expressions per parameter.
+`per_group_recall_at_1`, per-learner Recall@1 read from the general top-k
+ranking instead of the K = 1 argmax; and `whole_array_step`, the earlier
+optimizer update with whole-array expressions per parameter.
 """
 
 import math
@@ -61,13 +61,17 @@ def enumerated_eval_pairs(labels, rng, max_pairs=2000):
 
 
 def per_group_recall_at_1(F, partition, labels):
-    """Recall@1 of each group by its own `recall_at_k` pass over its unit rows."""
+    """Recall@1 of each group from the top-k ranking of its unit rows.
+
+    Asking `recall_at_k` for K = 1 and 2 runs its partition, sort and tie
+    re-rank rather than the K = 1 argmax; needs at least 3 samples.
+    """
     out = []
     for sl in partition.slices():
         sub = F[:, sl]
         norms = np.linalg.norm(sub, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        out.append(recall_at_k(sub / norms, labels, [1])[1])
+        out.append(recall_at_k(sub / norms, labels, [1, 2])[1])
     return out
 
 

@@ -73,7 +73,11 @@ class TestRecall:
 
 def _exact(emb, labels, ks):
     got = recall_at_k(emb, labels, ks)
-    assert got == {k: brute_force_recall(emb, labels, k) for k in sorted(set(ks))}
+    want = {k: brute_force_recall(emb, labels, k) for k in sorted(set(ks))}
+    assert got == want
+    # K = 1 alone takes the argmax path instead of the top-k ranking.
+    want_1 = want[1] if 1 in want else brute_force_recall(emb, labels, 1)
+    assert recall_at_k(emb, labels, [1]) == {1: want_1}
 
 
 class TestBlockedRecall:
@@ -156,7 +160,7 @@ class TestBlockedRecall:
 
 
 class TestPerLearnerRecall:
-    """The one-sweep Recall@1 against a full recall_at_k pass per group."""
+    """Per-learner Recall@1 (the K = 1 argmax path) against the top-k ranking per group."""
 
     PART = GroupPartition((2, 3, 4))
 
@@ -168,7 +172,7 @@ class TestPerLearnerRecall:
     def test_random_sets(self):
         rng = make_rng(50)
         for _ in range(10):
-            n = int(rng.integers(2, 700))
+            n = int(rng.integers(3, 700))
             self._same(rng.standard_normal((n, 9)), rng.integers(0, int(rng.integers(1, 40)), n))
 
     def test_sign_valued_ties_at_the_top(self, monkeypatch):
@@ -189,7 +193,9 @@ class TestPerLearnerRecall:
     def test_n_below_one_block(self):
         rng = make_rng(53)
         self._same(rng.standard_normal((90, 9)), rng.integers(0, 9, size=90))
-        self._same(rng.standard_normal((2, 9)), np.array([0, 0]))
+        F = rng.standard_normal((2, 9))
+        assert per_learner_recall_at_1(F, self.PART, [0, 0]) == [1.0, 1.0, 1.0]
+        assert per_learner_recall_at_1(F, self.PART, [0, 1]) == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("n", [16, 32, 33, 100])
     def test_block_edges(self, monkeypatch, n):
