@@ -13,7 +13,6 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data_io import (
     FeatureSet,
     SynthSpec,
-    read_csv,
     read_features,
     split,
     synth_gaussian,
@@ -25,7 +24,6 @@ from .ensemble import (
     BoostSchedule,
     EnsembleModel,
     GroupPartition,
-    cosine_sim_grad,
     init_model,
     make_schedule,
     preset_partition,
@@ -46,8 +44,8 @@ from .evaluate import (
     feature_correlation,
     recall_at_k,
 )
-from .linalg import l2_normalize, make_rng, matvec, pearson
-from .losses import LossSpec, boosting_weight, pair_loss, triplet_loss
+from .linalg import make_rng
+from .losses import LossSpec, pair_loss
 from .optim import Optimizer
 from .trainer import (
     TrainConfig,

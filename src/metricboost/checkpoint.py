@@ -10,7 +10,8 @@ Model block (little-endian):
     if present: u32 in_dim, f64 weight[h * in_dim] row-major, f64 bias[h]
 
 A training-state extension may follow (files ending after the model block are
-valid model-only checkpoints); bytes after the last field are rejected:
+valid model-only checkpoints); bytes after the last field, non-finite f64
+values and a partition with no group or an empty group are rejected:
 
     u8 has_train_state
     u64 iteration
@@ -40,7 +41,7 @@ import numpy as np
 
 from .diversity import Regressor, RegressorBank
 from .ensemble import Backbone, EnsembleModel, GroupPartition
-from .errors import FormatError
+from .errors import FormatError, InvalidArgument
 from .optim import Optimizer
 
 MODEL_MAGIC = b"BIERMDL1"
@@ -80,8 +81,13 @@ class _Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
     def f64_array(self, count, what):
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
+        start = self.off
+        arr = np.frombuffer(self.take(8 * count, what), dtype="<f8", count=count)
+        finite = np.isfinite(arr)
+        if not finite.all():
+            off = start + 8 * int(np.argmin(finite))  # the first False
+            raise FormatError(f"{self.path}: non-finite {what} at offset {off}")
+        return arr.astype(np.float64)
 
     def blob(self, what):
         n = self.u32(what + " length")
@@ -130,7 +136,10 @@ def _read_model(rd):
         weight = rd.f64_array(h * in_dim, "backbone weight").reshape(h, in_dim)
         bias = rd.f64_array(h, "backbone bias")
         backbone = Backbone(weight=weight, bias=bias)
-    return EnsembleModel(W, GroupPartition(tuple(sizes)), backbone=backbone)
+    try:
+        return EnsembleModel(W, GroupPartition(tuple(sizes)), backbone=backbone)
+    except InvalidArgument as exc:
+        raise FormatError(f"{rd.path}: {exc}") from None
 
 
 def _write_optimizer(fh, opt):
@@ -150,6 +159,8 @@ def _read_optimizer(rd):
         size = sum(math.prod(shape) for shape in header["layout"] or [])
         moments = {key: rd.f64_array(size, f"optimizer {key}") for key in header["moments"]}
         return Optimizer.from_state_dict({**header, "buffers": {"flat": moments}})
+    except FormatError:
+        raise  # already names the file and offset
     except KeyError as exc:
         raise FormatError(f"{rd.path}: optimizer state has no {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Labeled feature datasets: binary and CSV formats, synthesis, splitting.
+"""Labeled feature datasets: the binary format, synthesis, splitting.
 
 Binary layout (little-endian):
 
@@ -9,7 +9,8 @@ Binary layout (little-endian):
     offset 24  u32 labels[N]
     offset 24 + 4N   f32 features[N * h], row-major
 
-Features are f32 on disk and promoted to f64 in memory.
+Features are f32 on disk and promoted to f64 in memory. Labels at or above
+n_classes and non-finite features are rejected with their byte offset.
 """
 
 from dataclasses import dataclass
@@ -103,58 +104,15 @@ def read_features(path):
         off = labels_off + 4 * int(bad[0])
         raise FormatError(f"{path}: label {int(labels[bad[0]])} >= n_classes at offset {off}")
     feats = np.frombuffer(data, dtype="<f4", count=n * h, offset=feats_off)
+    finite = np.isfinite(feats)
+    if not finite.all():
+        off = feats_off + 4 * int(np.argmin(finite))  # the first False
+        raise FormatError(f"{path}: non-finite feature at offset {off}")
     return FeatureSet(
         labels=labels.astype(np.uint32),
         features=feats.reshape(n, h).astype(np.float64),
         n_classes=int(n_classes),
     )
-
-
-def read_csv(path):
-    """Parse `label,v1,...,vh` lines into a FeatureSet.
-
-    Class ids are remapped densely in order of first appearance.
-    """
-    path = Path(path)
-    labels = []
-    rows = []
-    remap = {}
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise FormatError(f"{path}: line {lineno}: expected label and values")
-            if width is None:
-                width = len(parts) - 1
-            elif len(parts) - 1 != width:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {width} values, got {len(parts) - 1}"
-                )
-            key = parts[0].strip()
-            if key not in remap:
-                remap[key] = len(remap)
-            labels.append(remap[key])
-            try:
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    return FeatureSet(
-        labels=np.array(labels, dtype=np.uint32),
-        features=np.array(rows, dtype=np.float64),
-        n_classes=len(remap),
-    )
-
-
-def write_csv(path, fs):
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(fs.labels, fs.features):
-            fh.write(f"{int(label)}," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
 def synth_gaussian(spec):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, InvalidArgument
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix
 
 # Hand-chosen group sizes for specific (embedding size, group count) setups.
 # Note the (512, 4) row totals 510; the partition's own total governs W.
@@ -192,32 +192,13 @@ class EnsembleModel:
         """Raw embeddings for a batch: (n, input_dim) -> (n, d)."""
         return self.embed_features(x) @ self.W
 
-    def learner_forward(self, x):
-        """Per-group raw embeddings f_1..f_M of a single input vector."""
-        x = as_vector(x, dim=self.input_dim)
-        full = self.embed_features(x) @ self.W
-        return [full[sl] for sl in self.partition.slices()]
-
-    def test_embedding(self, x, weight_exponent=1.0, renormalize_full=False):
-        """Concatenated inference-time embedding.
+    def test_embeddings(self, x, weight_exponent=1.0, renormalize_full=False):
+        """Concatenated inference-time embeddings: (n, input_dim) -> (n, d).
 
         Each group output is L2-normalized and scaled by alpha^weight_exponent.
         Exponent 1.0 matches the stated weighting; 0.5 makes dot products of two
         embeddings equal the ensemble score sum(alpha_m * s_m) exactly.
         """
-        parts = self.learner_forward(x)
-        out = np.empty(self.partition.total_dim)
-        for m, (part, sl) in enumerate(zip(parts, self.partition.slices())):
-            n = np.linalg.norm(part)
-            if n == 0.0:
-                raise DegenerateInput(f"group {m} produced a zero embedding")
-            out[sl] = (self.schedule.alpha[m] ** weight_exponent) * (part / n)
-        if renormalize_full:
-            out /= np.linalg.norm(out)
-        return out
-
-    def test_embeddings(self, x, weight_exponent=1.0, renormalize_full=False):
-        """Batch version of test_embedding: (n, input_dim) -> (n, d)."""
         feats = np.asarray(x, dtype=np.float64)
         if feats.ndim != 2:
             raise InvalidArgument("expected a 2-D batch of feature rows")
@@ -254,20 +235,6 @@ def init_model(rng, feature_dim, partition, backbone_in_dim=None):
     if backbone_in_dim is not None:
         backbone = init_backbone(rng, int(backbone_in_dim), h)
     return EnsembleModel(W, partition, backbone=backbone)
-
-
-def cosine_sim_grad(u, v):
-    """Cosine similarity of two vectors with gradients w.r.t. both inputs."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInput("cosine similarity of a zero-norm vector")
-    s = float(u @ v / (nu * nv))
-    ds_du = v / (nu * nv) - s * u / (nu * nu)
-    ds_dv = u / (nu * nv) - s * v / (nv * nv)
-    return s, ds_du, ds_dv
 
 
 def cosine_sim_grad_batch(u, v):

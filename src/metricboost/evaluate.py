@@ -14,8 +14,9 @@ surviving score is tied with entries left out is re-ranked over every entry
 at or above that score, so the result equals a full sort exactly. With
 K_max = 1 the block takes the first maximum per row (argmax), which is the
 same tie rule, and skips the partition, sort and re-rank. Memory is
-O(_BLOCK * N); non-finite embeddings and overflowing similarities raise
-InvalidArgument.
+O(_BLOCK * N). Non-finite embeddings raise InvalidArgument, and so do rows
+whose squared norm exceeds half the float64 maximum: that bound keeps every
+similarity finite, so it is checked once instead of on every block.
 
 Per-learner Recall@1 is one such K = 1 pass per group over the group's unit
 rows.
@@ -56,12 +57,13 @@ def recall_at_k(embeddings, labels, ks):
         raise InvalidArgument(f"K must be < number of samples ({n})")
     if not np.isfinite(E).all():
         raise InvalidArgument("embeddings must be finite")
+    # |S_ij| <= max_i ||e_i||^2 (Cauchy-Schwarz); the factor 2 absorbs rounding.
+    if np.einsum("ij,ij->i", E, E).max() > np.finfo(np.float64).max / 2:
+        raise InvalidArgument("similarities overflow float64")
     kmax = max(ks)
     first_hit = np.empty(n, dtype=np.intp)  # rank of the first same-label neighbour
     for lo in range(0, n, _BLOCK):
         S = E[lo:lo + _BLOCK] @ E.T
-        if not np.isfinite(S).all():
-            raise InvalidArgument("similarities overflow float64")
         q = np.arange(len(S))
         S[q, lo + q] = -np.inf
         if kmax == 1:

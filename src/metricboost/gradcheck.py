@@ -18,10 +18,10 @@ from .boosting import (
     boost_step_triplet,
 )
 from .diversity import RegressorBank, activation_loss, adversarial_loss
-from .ensemble import cosine_sim_grad, init_model, proportional_partition
+from .ensemble import cosine_sim_grad_batch, init_model, proportional_partition
 from .errors import InvalidArgument
 from .linalg import make_rng
-from .losses import LossSpec, pair_loss, triplet_loss
+from .losses import LossSpec, pair_loss, pair_loss_vec, triplet_loss_vec
 
 MODULES = ("losses", "boosting", "diversity")
 
@@ -103,9 +103,9 @@ def check_triplet_loss(seed=1, n=60):
         sn = float(rng.uniform(-0.99, 0.99))
         if not _away_from(sn - sp + spec.margin_triplet, [0.0]):
             continue
-        _, dp, dn = triplet_loss(spec, sp, sn)
+        _, dp, dn = triplet_loss_vec(spec, sp, sn)
         fd = central_diff(
-            lambda x: triplet_loss(spec, float(x[0]), float(x[1]))[0],
+            lambda x: triplet_loss_vec(spec, float(x[0]), float(x[1]))[0],
             np.array([sp, sn]),
         )
         worst = max(worst, rel_error(np.array([dp, dn]), fd))
@@ -117,11 +117,11 @@ def check_cosine(seed=2, n=60, dim=16):
     rng = make_rng(seed)
     worst = 0.0
     for _ in range(n):
-        u = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
-        _, du, dv = cosine_sim_grad(u, v)
-        fd_u = central_diff(lambda x: cosine_sim_grad(x, v)[0], u.copy())
-        fd_v = central_diff(lambda x: cosine_sim_grad(u, x)[0], v.copy())
+        u = rng.standard_normal((1, dim))
+        v = rng.standard_normal((1, dim))
+        _, du, dv, _ = cosine_sim_grad_batch(u, v)
+        fd_u = central_diff(lambda x: cosine_sim_grad_batch(x, v)[0][0], u.copy())
+        fd_v = central_diff(lambda x: cosine_sim_grad_batch(u, x)[0][0], v.copy())
         worst = max(worst, rel_error(du, fd_u), rel_error(dv, fd_v))
     return [CheckResult("boosting", "cosine_sim_grad", worst, 1e-5, n)]
 
@@ -165,8 +165,6 @@ def _frozen_pair_objective(model, X, batch, spec, signed):
             axis=1,
         )
         model.W = old
-        from .losses import pair_loss_vec
-
         total = 0.0
         for m in range(part.num_groups):
             losses, _ = pair_loss_vec(spec, s[:, m], batch.y)
@@ -195,8 +193,6 @@ def _frozen_triplet_objective(model, X, batch, spec):
         model.W = W
         Fx = model.forward_batch(X)
         total = 0.0
-        from .losses import triplet_loss_vec
-
         for m, sl in enumerate(part.slices()):
             spm = _cos_rows(Fx[batch.anchor, sl], Fx[batch.positive, sl])
             snm = _cos_rows(Fx[batch.anchor, sl], Fx[batch.negative, sl])

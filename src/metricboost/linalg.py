@@ -1,13 +1,14 @@
-"""Dense float64 vector/matrix helpers and the seeded RNG used everywhere.
+"""The seeded RNGs used everywhere, and the finite-matrix check on W.
 
 All numeric state in this package is plain numpy float64 arrays: matrices are
-2-D row-major, vectors 1-D. The helpers here add the argument checking that
-callers rely on; hot loops use numpy directly.
+2-D row-major, vectors 1-D. Computation uses numpy directly; this module holds
+only what needs one definition: the generator construction that makes runs
+reproducible, and `as_matrix`, which validates a model's embedding matrix.
 """
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidArgument, UndefinedCorrelation
+from .errors import InvalidArgument
 
 
 def make_rng(seed):
@@ -29,66 +30,11 @@ def make_child_rng(seed, stream):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 
-def as_matrix(data, rows=None, cols=None):
+def as_matrix(data):
     """Validate and return a finite float64 2-D array."""
     m = np.asarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidArgument(f"matrix must be 2-D, got shape {m.shape}")
-    if rows is not None and m.shape[0] != rows:
-        raise InvalidArgument(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise InvalidArgument(f"expected {cols} cols, got {m.shape[1]}")
     if not np.all(np.isfinite(m)):
         raise InvalidArgument("matrix contains non-finite entries")
     return m
-
-
-def as_vector(data, dim=None):
-    """Validate and return a finite float64 1-D array."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidArgument(f"vector must be 1-D, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise InvalidArgument(f"expected dim {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidArgument("vector contains non-finite entries")
-    return v
-
-
-def matvec(m, v):
-    """Matrix-vector product with a dimension check."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise InvalidArgument("matvec expects a 2-D matrix and a 1-D vector")
-    if m.shape[1] != v.shape[0]:
-        raise InvalidArgument(f"dimension mismatch: {m.shape} x {v.shape}")
-    return m @ v
-
-
-def l2_normalize(v):
-    """Scale `v` to unit L2 norm. Zero vectors are rejected."""
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise DegenerateInput("cannot normalize a zero vector")
-    return v / n
-
-
-def pearson(a, b):
-    """Sample Pearson correlation of two equal-length sequences."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise InvalidArgument("pearson expects two 1-D sequences of equal length")
-    if a.shape[0] < 2:
-        raise InvalidArgument("pearson needs at least 2 points")
-    da = a - a.mean()
-    db = b - b.mean()
-    na = np.linalg.norm(da)
-    nb = np.linalg.norm(db)
-    if na == 0.0 or nb == 0.0:
-        raise UndefinedCorrelation("correlation undefined for a constant sequence")
-    r = float(da @ db / (na * nb))
-    # Guard against rounding pushing |r| past 1.
-    return min(1.0, max(-1.0, r))

@@ -89,18 +89,12 @@ def pair_loss(spec, s, y):
 def triplet_loss_vec(spec, s_pos, s_neg):
     """Vectorized triplet loss. Returns (loss, d_dspos, d_dsneg)."""
     if spec.kind != "triplet":
-        raise InvalidArgument(f"triplet_loss needs kind 'triplet', got {spec.kind!r}")
+        raise InvalidArgument(f"triplet loss needs kind 'triplet', got {spec.kind!r}")
     s_pos = np.asarray(s_pos, dtype=np.float64)
     s_neg = np.asarray(s_neg, dtype=np.float64)
     v = s_neg - s_pos + spec.margin_triplet
     active = (v > 0.0).astype(np.float64)
     return np.maximum(v, 0.0), -active, active
-
-
-def triplet_loss(spec, s_pos, s_neg):
-    """Scalar triplet loss: (loss, d_dspos, d_dsneg)."""
-    loss, dp, dn = triplet_loss_vec(spec, np.float64(s_pos), np.float64(s_neg))
-    return float(loss), float(dp), float(dn)
 
 
 def boosting_weight_vec(spec, s=None, y=None, s_pos=None, s_neg=None, signed=False):
@@ -122,8 +116,3 @@ def boosting_weight_vec(spec, s=None, y=None, s_pos=None, s_neg=None, signed=Fal
     _, dloss = pair_loss_vec(spec, s, y)
     return -dloss if signed else np.abs(dloss)
 
-
-def boosting_weight(spec, s=None, y=None, s_pos=None, s_neg=None, signed=False):
-    """Scalar boosting weight (see boosting_weight_vec)."""
-    w = boosting_weight_vec(spec, s=s, y=y, s_pos=s_pos, s_neg=s_neg, signed=signed)
-    return float(w)

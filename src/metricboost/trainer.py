@@ -236,6 +236,26 @@ def _trained_arrays(W, backbone=None, bank=None):
     return arrays
 
 
+def _diversity(kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path):
+    """The diversity loss `kind` at the current W and bank.
+
+    Returns (loss, term, grad_W, bank_grads): `term` is the activation loss's
+    suppression term or the adversarial loss's similarity term, and
+    `bank_grads` is the regressor bank's gradient, None for the activation
+    kind. Both losses are looked up as this module's globals at call time,
+    which is where perfbench/spans.py patches them.
+    """
+    if kind == "activation":
+        div = activation_loss(model, X, lambda_w)
+        return div.loss, div.sup_term, div.grad_W, None
+    div = adversarial_loss(
+        model, bank, X, lambda_w,
+        sim_normalizer=sim_normalizer,
+        reverse_target_path=reverse_target_path,
+    )
+    return div.loss, div.sim_term, div.grad_W, div.regressor_grads
+
+
 def train_step(cfg, model, bank, opt, features, batch):
     """One combined update on a sampled batch. Returns scalar losses."""
     spec = cfg.loss_spec()
@@ -261,21 +281,15 @@ def train_step(cfg, model, bank, opt, features, batch):
 
     loss_div = 0.0
     lam = cfg.resolved_lambda_div()
-    if cfg.diversity == "activation":
-        div = activation_loss(model, features, cfg.lambda_w)
-        loss_div = div.loss
-        if lam != 0.0:
-            grad_W = grad_W + lam * div.grad_W
-    elif cfg.diversity == "adversarial":
-        div = adversarial_loss(
-            model, bank, features, cfg.lambda_w,
-            sim_normalizer=cfg.sim_normalizer,
-            reverse_target_path=cfg.reverse_target_path,
+    if cfg.diversity != "none":
+        loss_div, _, div_grad_W, div_bank_grads = _diversity(
+            cfg.diversity, model, bank, features, cfg.lambda_w,
+            cfg.sim_normalizer, cfg.reverse_target_path,
         )
-        loss_div = div.loss
         if lam != 0.0:
-            grad_W = grad_W + lam * div.grad_W
-            bank_grads = div.regressor_grads.scaled(lam)
+            grad_W = grad_W + lam * div_grad_W
+            if div_bank_grads is not None:
+                bank_grads = div_bank_grads.scaled(lam)
 
     opt.step(
         _trained_arrays(model.W, model.backbone if train_backbone else None,
@@ -319,38 +333,25 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
     final_loss = float("nan")
     it = 0
     for it in range(int(max_iterations)):
-        if kind == "activation":
-            div = activation_loss(model, X, lambda_w)
-            term = div.sup_term
-            bank_grads = None
-        else:
-            div = adversarial_loss(
-                model, bank, X, lambda_w,
-                sim_normalizer=sim_normalizer,
-                reverse_target_path=reverse_target_path,
-            )
-            term = div.sim_term
-            bank_grads = div.regressor_grads
-        if not np.isfinite(div.loss):
-            raise NumericFailure(f"init solver diverged at iteration {it}: loss={div.loss}")
+        loss, term, grad_W, bank_grads = _diversity(
+            kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path,
+        )
+        if not np.isfinite(loss):
+            raise NumericFailure(f"init solver diverged at iteration {it}: loss={loss}")
         if initial_term is None:
             initial_term = term
-        final_loss = div.loss
-        history.append(div.loss)
+        final_loss = loss
+        history.append(loss)
         if it >= tol_window:
             ref = history[it - tol_window]
             if abs(history[it] - ref) <= tol * max(abs(ref), 1e-12):
                 break
         opt.step(_trained_arrays(model.W, bank=train_bank),
-                 _trained_arrays(div.grad_W, bank=bank_grads))
+                 _trained_arrays(grad_W, bank=bank_grads))
 
-    if kind == "activation":
-        final_term = activation_loss(model, X, lambda_w).sup_term
-    else:
-        final_term = adversarial_loss(
-            model, bank, X, lambda_w,
-            sim_normalizer=sim_normalizer, reverse_target_path=reverse_target_path,
-        ).sim_term
+    final_term = _diversity(
+        kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path,
+    )[1]
 
     col_sq = np.sum(model.W * model.W, axis=0)
     in_band = bool(np.all(np.abs(col_sq - 1.0) <= 1e-3))
@@ -395,12 +396,6 @@ class RunResult:
     rng: np.random.Generator
     iteration: int
     metrics_rows: list = field(default_factory=list)
-
-    def metrics_csv(self):
-        lines = [METRICS_HEADER]
-        for row in self.metrics_rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
 
 
 def _fmt(v):

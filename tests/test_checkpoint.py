@@ -33,6 +33,25 @@ def write_name_keyed_checkpoint(path, model, iteration=3):
     path.write_bytes(path.read_bytes()[:-1] + state)
 
 
+def poison_f64(path, arr, k=0, value=np.nan):
+    """Overwrite element k of the saved copy of `arr` in the checkpoint at
+    `path` with `value`; returns that element's byte offset."""
+    data = bytearray(path.read_bytes())
+    raw = np.asarray(arr, dtype="<f8").tobytes()
+    start = data.find(raw)
+    assert start >= 0 and data.find(raw, start + 1) < 0, "array bytes must occur once"
+    off = start + 8 * k
+    data[off:off + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(data))
+    return off
+
+
+def write_bare_model(path, h, d, sizes):
+    """A model-only checkpoint with the given header fields and an all-ones W."""
+    header = struct.pack(f"<III{len(sizes)}I", h, d, len(sizes), *sizes)
+    path.write_bytes(b"BIERMDL1" + header + np.ones(h * d).tobytes() + b"\x00")
+
+
 class TestModelBlock:
     def test_roundtrip(self, tmp_path):
         model = _model()
@@ -212,3 +231,46 @@ class TestAtomicWrite:
         with pytest.raises(OSError):
             save_checkpoint(tmp_path / "t.ckpt", model, iteration=1, optimizer=opt, bank=bank)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCorruptContent:
+    ARRAYS = ("W", "backbone weight", "backbone bias", "optimizer m", "optimizer v",
+              "bank W1", "bank b1", "bank W2", "bank b2")
+
+    def _save_full(self, path):
+        """A checkpoint with every f64 section; returns its arrays by name."""
+        rng = make_rng(4)
+        model = _model(4, backbone=True)
+        bank = RegressorBank.create(rng, model.partition, hidden=4)
+        reg = bank[(0, 1)]
+        arrays = [model.W, model.backbone.weight, model.backbone.bias,
+                  reg.W1, reg.b1, reg.W2, reg.b2]
+        for arr in arrays:  # distinct values, so each array's bytes occur once
+            arr[...] = rng.standard_normal(arr.shape)
+        opt = Optimizer(kind="adam", lr=0.01)
+        opt.step(arrays, [rng.standard_normal(a.shape) for a in arrays])
+        save_checkpoint(path, model, iteration=1, optimizer=opt, bank=bank)
+        names = ("W", "backbone weight", "backbone bias", "bank W1", "bank b1",
+                 "bank W2", "bank b2")
+        named = dict(zip(names, arrays))
+        named.update({f"optimizer {key}": v for key, v in opt.buffers["flat"].items()})
+        return named
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("what", ARRAYS)
+    def test_non_finite_value_names_array_and_offset(self, tmp_path, what, bad):
+        path = tmp_path / "t.ckpt"
+        off = poison_f64(path, self._save_full(path)[what], k=1, value=bad)
+        want = f"^{re.escape(str(path))}: non-finite {what} at offset {off}$"
+        with pytest.raises(FormatError, match=want):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("d,sizes,message", [
+        (0, (), "partition needs at least one group"),
+        (4, (0, 4), r"group sizes must be >= 1, got \(0, 4\)"),
+    ], ids=["no-group", "empty-group"])
+    def test_degenerate_partition_rejected(self, tmp_path, d, sizes, message):
+        path = tmp_path / "m.ckpt"
+        write_bare_model(path, 6, d, sizes)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path)

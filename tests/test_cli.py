@@ -4,9 +4,10 @@ import pytest
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.cli import main
 from metricboost.data_io import read_features
+from metricboost.diversity import RegressorBank
 from metricboost.ensemble import GroupPartition, init_model
 from metricboost.linalg import make_rng
-from test_checkpoint import write_name_keyed_checkpoint
+from test_checkpoint import poison_f64, write_bare_model, write_name_keyed_checkpoint
 
 
 @pytest.fixture
@@ -231,6 +232,67 @@ class TestEval:
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"])
         assert code == 2
         assert "trailing bytes at offset" in capsys.readouterr().err
+
+
+class TestCorruptContent:
+    """Corrupt file content exits 2 with the file's path, like other file errors."""
+
+    def _ckpt(self, path, backbone=False, bank=False):
+        model = init_model(make_rng(0), 12, GroupPartition((4, 4)),
+                           backbone_in_dim=12 if backbone else None)
+        regs = RegressorBank.create(make_rng(1), model.partition, hidden=6) if bank else None
+        save_checkpoint(path, model, iteration=0 if bank else None, bank=regs)
+        return model, regs
+
+    def test_nan_in_W_exits_2_for_eval_and_resume(self, tmp_path, train_cfg, data_file,
+                                                  capsys):
+        ckpt = tmp_path / "nan.ckpt"
+        model, _ = self._ckpt(ckpt)
+        off = poison_f64(ckpt, model.W, k=5)
+        want = f"{ckpt}: non-finite W at offset {off}"
+        capsys.readouterr()
+        assert main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"]) == 2
+        assert want in capsys.readouterr().err
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(ckpt)]) == 2
+        assert want in capsys.readouterr().err
+
+    def test_inf_in_backbone_weight_exits_2(self, tmp_path, data_file, capsys):
+        ckpt = tmp_path / "inf.ckpt"
+        model, _ = self._ckpt(ckpt, backbone=True)
+        off = poison_f64(ckpt, model.backbone.weight, value=np.inf)
+        assert main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"]) == 2
+        assert f"{ckpt}: non-finite backbone weight at offset {off}" in capsys.readouterr().err
+
+    def test_nan_in_regressor_exits_2(self, tmp_path, train_cfg, data_file, capsys):
+        ckpt = tmp_path / "bank.ckpt"
+        _, bank = self._ckpt(ckpt, bank=True)
+        off = poison_f64(ckpt, bank[(0, 1)].W1, k=3)
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(ckpt),
+                     "--set", "diversity=adversarial"]) == 2
+        assert f"{ckpt}: non-finite bank W1 at offset {off}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d,sizes,message", [
+        (0, (), "partition needs at least one group"),
+        (8, (0, 8), "group sizes must be >= 1, got (0, 8)"),
+    ], ids=["no-group", "empty-group"])
+    def test_degenerate_partition_exits_2(self, tmp_path, data_file, capsys, d, sizes,
+                                          message):
+        ckpt = tmp_path / "part.ckpt"
+        write_bare_model(ckpt, 12, d, sizes)
+        assert main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"]) == 2
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
+
+    def test_nan_feature_exits_2(self, tmp_path, train_cfg, data_file, capsys):
+        data = bytearray(data_file.read_bytes())
+        n = int.from_bytes(data[8:16], "little")
+        off = 24 + 4 * n + 4 * 7  # the 8th feature value
+        data[off:off + 4] = np.float32(np.nan).tobytes()
+        data_file.write_bytes(bytes(data))
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert f"{data_file}: non-finite feature at offset {off}" in capsys.readouterr().err
 
 
 class TestPartition:

@@ -6,11 +6,9 @@ import pytest
 from metricboost.data_io import (
     FeatureSet,
     SynthSpec,
-    read_csv,
     read_features,
     split,
     synth_gaussian,
-    write_csv,
     write_features,
 )
 from metricboost.errors import FormatError, InvalidArgument
@@ -89,52 +87,18 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="offset 28"):
             read_features(path)
 
-
-class TestCsv:
-    def test_basic_parse(self, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
-        fs = read_csv(path)
-        assert fs.n_samples == 2 and fs.feature_dim == 2
-        np.testing.assert_array_equal(fs.labels, [0, 1])
-
-    def test_ragged_row_names_line(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("0,1.0,2.0\n1,3.0\n")
-        with pytest.raises(FormatError, match="line 2"):
-            read_csv(path)
-
-    def test_non_numeric_names_line(self, tmp_path):
-        path = tmp_path / "alpha.csv"
-        path.write_text("0,1.0,2.0\n1,x,4.0\n")
-        with pytest.raises(FormatError, match="line 2"):
-            read_csv(path)
-
-    def test_dense_remap_first_appearance(self, tmp_path):
-        path = tmp_path / "remap.csv"
-        path.write_text("cat,1.0\ndog,2.0\ncat,3.0\n")
-        fs = read_csv(path)
-        np.testing.assert_array_equal(fs.labels, [0, 1, 0])
-        assert fs.n_classes == 2
-
-    def test_cross_format_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        lines = []
-        for i in range(100):
-            vals = rng.standard_normal(4)
-            lines.append(f"{i % 5}," + ",".join(repr(float(v)) for v in vals))
-        csv_path = tmp_path / "in.csv"
-        csv_path.write_text("\n".join(lines) + "\n")
-        fs = read_csv(csv_path)
-        bin_path = tmp_path / "mid.bin"
-        write_features(bin_path, fs)
-        back = read_features(bin_path)
-        np.testing.assert_array_equal(back.labels, fs.labels)
-        np.testing.assert_allclose(back.features, fs.features.astype(np.float32))
-        out_csv = tmp_path / "out.csv"
-        write_csv(out_csv, back)
-        again = read_csv(out_csv)
-        np.testing.assert_array_equal(again.features, back.features)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_offset(self, tmp_path, bad):
+        payload = (
+            b"BIERFT01"
+            + struct.pack("<QII", 2, 2, 2)
+            + struct.pack("<II", 0, 1)
+            + struct.pack("<ffff", 0.0, 1.0, 2.0, bad)  # 4th feature at offset 44
+        )
+        path = tmp_path / "bad.bin"
+        path.write_bytes(payload)
+        with pytest.raises(FormatError, match=f"{path}: non-finite feature at offset 44"):
+            read_features(path)
 
 
 class TestSynth:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from metricboost.ensemble import (
     EnsembleModel,
     GroupPartition,
-    cosine_sim_grad,
+    cosine_sim_grad_batch,
     init_model,
     make_schedule,
     preset_partition,
@@ -99,69 +99,92 @@ class TestPartition:
             GroupPartition((0, 2))
 
 
+def learner_outputs(model, X):
+    """Per-group raw embeddings f_1..f_M: column slices of forward_batch."""
+    F = model.forward_batch(X)
+    return [F[:, sl] for sl in model.partition.slices()]
+
+
 class TestLearnerForward:
     def test_zero_matrix(self):
         model = EnsembleModel(np.zeros((4, 6)), GroupPartition((2, 4)))
-        parts = model.learner_forward(np.ones(4))
+        parts = learner_outputs(model, np.ones((3, 4)))
+        assert [p.shape for p in parts] == [(3, 2), (3, 4)]
         assert all(np.all(p == 0.0) for p in parts)
 
     def test_identity_slicing(self):
         model = EnsembleModel(np.eye(2), GroupPartition((1, 1)))
-        f1, f2 = model.learner_forward([3.0, 4.0])
-        np.testing.assert_array_equal(f1, [3.0])
-        np.testing.assert_array_equal(f2, [4.0])
+        f1, f2 = learner_outputs(model, [[3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(f1, [[3.0], [5.0]])
+        np.testing.assert_array_equal(f2, [[4.0], [6.0]])
 
     def test_slice_consistency_with_full_product(self):
         rng = make_rng(9)
         W = rng.standard_normal((8, 6))
         model = EnsembleModel(W, GroupPartition((1, 2, 3)))
-        x = rng.standard_normal(8)
-        parts = model.learner_forward(x)
-        np.testing.assert_allclose(np.concatenate(parts), x @ W, atol=1e-12)
+        X = rng.standard_normal((5, 8))
+        parts = learner_outputs(model, X)
+        np.testing.assert_allclose(np.concatenate(parts, axis=1), X @ W, atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = EnsembleModel(np.eye(3), GroupPartition((3,)))
-        with pytest.raises(InvalidArgument):
-            model.learner_forward([1.0, 2.0])
+        for x in ([[1.0, 2.0]], [[1.0, 2.0, 3.0, 4.0]]):
+            with pytest.raises(InvalidArgument, match="model expects 3"):
+                model.forward_batch(x)
 
 
 class TestCosine:
     def test_maximum_is_stationary(self):
-        s, du, _ = cosine_sim_grad([1.0, 0.0], [1.0, 0.0])
-        assert s == pytest.approx(1.0)
-        np.testing.assert_allclose(du, [0.0, 0.0], atol=1e-15)
+        s, du, dv, valid = cosine_sim_grad_batch([[1.0, 0.0], [0.0, 3.0]],
+                                                 [[1.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_allclose(s, [1.0, 1.0])
+        np.testing.assert_allclose(du, np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(dv, np.zeros((2, 2)), atol=1e-15)
+        assert valid.all()
 
     def test_orthogonal(self):
-        s, du, _ = cosine_sim_grad([1.0, 0.0], [0.0, 1.0])
-        assert s == pytest.approx(0.0)
-        np.testing.assert_allclose(du, [0.0, 1.0], atol=1e-15)
+        s, du, _, _ = cosine_sim_grad_batch([[1.0, 0.0]], [[0.0, 1.0]])
+        np.testing.assert_allclose(s, [0.0], atol=1e-15)
+        np.testing.assert_allclose(du, [[0.0, 1.0]], atol=1e-15)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateInput):
-            cosine_sim_grad([0.0, 0.0], [1.0, 0.0])
+        # The batch form marks a row with a zero-norm side invalid and
+        # leaves the other rows untouched.
+        s, _, _, valid = cosine_sim_grad_batch(
+            [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        )
+        np.testing.assert_array_equal(valid, [False, False, True])
+        assert s[2] == pytest.approx(1.0)
 
     def test_gradients_match_finite_differences(self):
         rng = make_rng(12)
-        for _ in range(20):
-            u = rng.standard_normal(16)
-            v = rng.standard_normal(16)
-            _, du, dv = cosine_sim_grad(u, v)
+        U = rng.standard_normal((20, 16))
+        V = rng.standard_normal((20, 16))
+        _, dU, dV, _ = cosine_sim_grad_batch(U, V)
+        for i in range(20):
             for k in range(16):
-                def f_u(x, k=k):
-                    up = u.copy()
-                    up[k] = x
-                    return cosine_sim_grad(up, v)[0]
+                def f_u(x, i=i, k=k):
+                    up = U[i:i + 1].copy()
+                    up[0, k] = x
+                    return cosine_sim_grad_batch(up, V[i:i + 1])[0][0]
 
-                fd = central_difference(f_u, u[k])
-                assert abs(du[k] - fd) <= 1e-6 * max(1.0, abs(fd))
+                def f_v(x, i=i, k=k):
+                    vp = V[i:i + 1].copy()
+                    vp[0, k] = x
+                    return cosine_sim_grad_batch(U[i:i + 1], vp)[0][0]
+
+                fd = central_difference(f_u, U[i, k])
+                assert abs(dU[i, k] - fd) <= 1e-6 * max(1.0, abs(fd))
+                fd = central_difference(f_v, V[i, k])
+                assert abs(dV[i, k] - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_scale_invariance(self):
         rng = make_rng(13)
-        u = rng.standard_normal(8)
-        v = rng.standard_normal(8)
-        s0 = cosine_sim_grad(u, v)[0]
+        u = rng.standard_normal((1, 8))
+        v = rng.standard_normal((1, 8))
+        s0 = cosine_sim_grad_batch(u, v)[0]
         for c in (1e-3, 0.5, 7.0, 1e4):
-            assert abs(cosine_sim_grad(c * u, v)[0] - s0) < 1e-12
+            assert abs(cosine_sim_grad_batch(c * u, v)[0] - s0)[0] < 1e-12
 
 
 class TestTestEmbedding:
@@ -171,30 +194,36 @@ class TestTestEmbedding:
     def test_single_group_is_plain_normalization(self):
         rng = make_rng(20)
         model = self._model(rng, sizes=(6,))
-        x = rng.standard_normal(6)
-        emb = model.test_embedding(x)
-        raw = model.learner_forward(x)[0]
-        np.testing.assert_allclose(emb, raw / np.linalg.norm(raw), atol=1e-12)
+        X = rng.standard_normal((4, 6))
+        emb = model.test_embeddings(X)
+        raw = model.forward_batch(X)
+        np.testing.assert_allclose(
+            emb, raw / np.linalg.norm(raw, axis=1, keepdims=True), atol=1e-12
+        )
 
     def test_sqrt_exponent_dot_identity(self):
         # dot(emb(x), emb(y)) with exponent 0.5 equals sum_m alpha_m s_m.
         rng = make_rng(21)
         model = self._model(rng, h=8, sizes=(3, 5))
-        x = rng.standard_normal(8)
-        y = rng.standard_normal(8)
-        dot = model.test_embedding(x, 0.5) @ model.test_embedding(y, 0.5)
-        expected = 0.0
-        for m, (fx, fy) in enumerate(zip(model.learner_forward(x), model.learner_forward(y))):
-            s = fx @ fy / (np.linalg.norm(fx) * np.linalg.norm(fy))
+        X = rng.standard_normal((3, 8))
+        Y = rng.standard_normal((3, 8))
+        dots = np.sum(model.test_embeddings(X, 0.5) * model.test_embeddings(Y, 0.5), axis=1)
+        FX, FY = model.forward_batch(X), model.forward_batch(Y)
+        expected = np.zeros(3)
+        for m, sl in enumerate(model.partition.slices()):
+            fx, fy = FX[:, sl], FY[:, sl]
+            s = np.sum(fx * fy, axis=1) / (np.linalg.norm(fx, axis=1) * np.linalg.norm(fy, axis=1))
             expected += model.schedule.alpha[m] * s
-        assert abs(dot - expected) < 1e-12
+        np.testing.assert_allclose(dots, expected, rtol=0, atol=1e-12)
 
     def test_unit_exponent_group_norms_equal_alpha(self):
         rng = make_rng(22)
         model = self._model(rng, h=7, sizes=(2, 2, 3))
-        emb = model.test_embedding(rng.standard_normal(7), 1.0)
+        emb = model.test_embeddings(rng.standard_normal((4, 7)), 1.0)
         for m, sl in enumerate(model.partition.slices()):
-            assert abs(np.linalg.norm(emb[sl]) - model.schedule.alpha[m]) < 1e-12
+            np.testing.assert_allclose(
+                np.linalg.norm(emb[:, sl], axis=1), model.schedule.alpha[m], rtol=0, atol=1e-12
+            )
         np.testing.assert_allclose(
             [model.schedule.alpha[m] for m in range(3)], [1 / 6, 1 / 3, 1 / 2], atol=1e-15
         )
@@ -202,13 +231,17 @@ class TestTestEmbedding:
     def test_zero_group_rejected(self):
         model = EnsembleModel(np.zeros((3, 4)), GroupPartition((2, 2)))
         with pytest.raises(DegenerateInput):
-            model.test_embedding(np.ones(3))
+            model.test_embeddings(np.ones((2, 3)))
+        # Only row 1 is zero in group 1; the message names both.
+        model = EnsembleModel(np.eye(4), GroupPartition((2, 2)))
+        with pytest.raises(DegenerateInput, match="group 1 produced a zero embedding for row 1"):
+            model.test_embeddings([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
 
     def test_renormalize_full(self):
         rng = make_rng(23)
         model = self._model(rng)
-        emb = model.test_embedding(rng.standard_normal(6), renormalize_full=True)
-        assert abs(np.linalg.norm(emb) - 1.0) < 1e-12
+        emb = model.test_embeddings(rng.standard_normal((3, 6)), renormalize_full=True)
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = make_rng(24)
@@ -216,7 +249,9 @@ class TestTestEmbedding:
         X = rng.standard_normal((5, 6))
         batch = model.test_embeddings(X, weight_exponent=0.5)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], model.test_embedding(X[i], 0.5), atol=1e-12)
+            np.testing.assert_allclose(
+                batch[i:i + 1], model.test_embeddings(X[i:i + 1], 0.5), atol=1e-12
+            )
 
 
 class TestBackbone:

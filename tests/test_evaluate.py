@@ -145,6 +145,22 @@ class TestBlockedRecall:
         with pytest.raises(InvalidArgument, match="similarities overflow"):
             recall_at_k(emb, [0, 1, 0], [1])
 
+    def test_squared_norm_just_below_half_max_accepted(self):
+        # Every similarity is at most max/2 in magnitude, so ranking is exact.
+        big = np.sqrt(np.finfo(np.float64).max / 2) * 0.999
+        emb = np.array([[big, 0.0], [0.0, big], [big, 1.0], [-big, 0.0]])
+        labels = [0, 1, 0, 1]
+        for k in (1, 2):
+            assert recall_at_k(emb, labels, [k])[k] == brute_force_recall(emb, labels, k)
+
+    def test_squared_norm_above_half_max_rejected(self):
+        # Squared norm 0.75 * max: no similarity overflows here (the largest,
+        # the masked self score, is 0.75 * max), but the bound refuses it.
+        emb = np.array([[np.sqrt(0.75 * np.finfo(np.float64).max), 0.0],
+                        [0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(InvalidArgument, match="similarities overflow float64"):
+            recall_at_k(emb, [0, 1, 0], [1])
+
     def test_memory_bounded_in_block_rows(self):
         rng = make_rng(26)
         emb = rng.standard_normal((4000, 64))
@@ -223,7 +239,7 @@ class TestPerLearnerRecall:
 class TestFeatureCorrelation:
     def test_duplicated_groups_are_fully_correlated(self):
         # One dimension per group and group 2 an exact copy of group 1: the
-        # single cross-group pair has |pearson| = 1.
+        # single cross-group pair has |Pearson r| = 1.
         rng = make_rng(10)
         base = rng.standard_normal((4, 1))
         W = np.concatenate([base, base], axis=1)

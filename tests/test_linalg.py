@@ -1,88 +1,6 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from metricboost.errors import DegenerateInput, InvalidArgument, UndefinedCorrelation
-from metricboost.linalg import l2_normalize, make_child_rng, make_rng, matvec, pearson
-
-
-class TestMatvec:
-    def test_identity(self):
-        out = matvec(np.eye(3), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
-
-    def test_zeros(self):
-        out = matvec(np.zeros((2, 3)), [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out, [0.0, 0.0])
-
-    def test_hand_product(self):
-        out = matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0])
-        np.testing.assert_allclose(out, [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            matvec(np.eye(3), [1.0, 2.0])
-
-    def test_distributes_over_addition(self):
-        rng = make_rng(11)
-        for _ in range(10):
-            m = rng.standard_normal((32, 32))
-            u = rng.standard_normal(32)
-            v = rng.standard_normal(32)
-            lhs = matvec(m, u + v)
-            rhs = matvec(m, u) + matvec(m, v)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestL2Normalize:
-    def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8])
-
-    def test_already_unit(self):
-        np.testing.assert_allclose(l2_normalize([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInput):
-            l2_normalize([0.0, 0.0])
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
-    @settings(max_examples=60)
-    def test_idempotent(self, values):
-        v = np.array(values)
-        if np.linalg.norm(v) == 0.0:
-            return
-        once = l2_normalize(v)
-        twice = l2_normalize(once)
-        assert np.max(np.abs(once - twice)) < 1e-12
-        assert abs(np.linalg.norm(once) - 1.0) < 1e-12
-
-
-class TestPearson:
-    def test_self_correlation(self):
-        assert pearson([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
-
-    def test_anti_correlation(self):
-        assert pearson([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
-
-    def test_closed_form(self):
-        assert pearson([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(0.8)
-
-    def test_constant_sequence(self):
-        with pytest.raises(UndefinedCorrelation):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            pearson([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30)
-    def test_bounded(self, seed):
-        rng = make_rng(seed)
-        a = rng.standard_normal(10)
-        b = rng.standard_normal(10)
-        assert -1.0 <= pearson(a, b) <= 1.0
+from metricboost.linalg import make_child_rng, make_rng
 
 
 class TestRng:

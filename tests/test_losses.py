@@ -7,10 +7,10 @@ from metricboost.errors import InvalidArgument
 from metricboost.linalg import make_rng
 from metricboost.losses import (
     LossSpec,
-    boosting_weight,
+    boosting_weight_vec,
     pair_loss,
     pair_loss_vec,
-    triplet_loss,
+    triplet_loss_vec,
 )
 from oracles import central_difference
 
@@ -93,16 +93,20 @@ class TestContrastive:
 
 class TestTriplet:
     def test_margin_satisfied(self):
-        assert triplet_loss(LossSpec(kind="triplet"), 0.9, 0.1) == (0.0, 0.0, 0.0)
+        out = triplet_loss_vec(LossSpec(kind="triplet"), [0.9, 0.5], [0.1, 0.48])
+        for arr in out:
+            np.testing.assert_array_equal(arr, [0.0, 0.0])
 
     def test_violated(self):
-        loss, dp, dn = triplet_loss(LossSpec(kind="triplet"), 0.1, 0.9)
-        assert loss == pytest.approx(0.81)
-        assert (dp, dn) == (-1.0, 1.0)
+        loss, dp, dn = triplet_loss_vec(LossSpec(kind="triplet"), [0.1, 0.5], [0.9, 0.5])
+        np.testing.assert_allclose(loss, [0.81, 0.01])
+        np.testing.assert_array_equal(dp, [-1.0, -1.0])
+        np.testing.assert_array_equal(dn, [1.0, 1.0])
 
     def test_boundary_inactive(self):
         spec = LossSpec(kind="triplet", margin_triplet=0.0)
-        assert triplet_loss(spec, 0.5, 0.5) == (0.0, 0.0, 0.0)
+        for arr in triplet_loss_vec(spec, [0.5, -0.2], [0.5, -0.2]):
+            np.testing.assert_array_equal(arr, [0.0, 0.0])
 
 
 class TestDerivativesAgainstFiniteDifferences:
@@ -132,9 +136,9 @@ class TestDerivativesAgainstFiniteDifferences:
             sn = float(rng.uniform(-0.99, 0.99))
             if abs(sn - sp + spec.margin_triplet) < 0.01:
                 continue
-            _, dp, dn = triplet_loss(spec, sp, sn)
-            fd_p = central_difference(lambda x: triplet_loss(spec, x, sn)[0], sp)
-            fd_n = central_difference(lambda x: triplet_loss(spec, sp, x)[0], sn)
+            _, dp, dn = triplet_loss_vec(spec, sp, sn)
+            fd_p = central_difference(lambda x: triplet_loss_vec(spec, x, sn)[0], sp)
+            fd_n = central_difference(lambda x: triplet_loss_vec(spec, sp, x)[0], sn)
             assert abs(dp - fd_p) <= 1e-6
             assert abs(dn - fd_n) <= 1e-6
             checked += 1
@@ -142,10 +146,12 @@ class TestDerivativesAgainstFiniteDifferences:
 
 class TestBoostingWeight:
     def test_positive_pair_at_beta2(self):
-        assert boosting_weight(LossSpec(), s=0.5, y=1) == pytest.approx(1.0)
+        w = boosting_weight_vec(LossSpec(), s=np.array([0.5]), y=np.array([1]))
+        np.testing.assert_allclose(w, [1.0])
 
     def test_negative_pair_at_beta2(self):
-        assert boosting_weight(LossSpec(), s=0.5, y=0) == pytest.approx(25.0)
+        w = boosting_weight_vec(LossSpec(), s=np.array([0.5]), y=np.array([0]))
+        np.testing.assert_allclose(w, [25.0])
 
     def test_perfect_positive_weight(self):
         # Frozen from the finite-difference oracle: |dloss/ds| at s=1, y=1 is
@@ -153,26 +159,26 @@ class TestBoostingWeight:
         fd = abs(central_difference(lambda x: pair_loss(LossSpec(), x, 1)[0], 1.0))
         expected = 2.0 * sigmoid(-1.0)
         assert fd == pytest.approx(expected, rel=1e-9)
-        assert boosting_weight(LossSpec(), s=1.0, y=1) == pytest.approx(expected)
+        w = boosting_weight_vec(LossSpec(), s=np.array([1.0]), y=np.array([1]))
+        np.testing.assert_allclose(w, [expected])
 
     def test_triplet_weight_binary(self):
         spec = LossSpec(kind="triplet")
-        assert boosting_weight(spec, s_pos=0.1, s_neg=0.9) == 1.0
-        assert boosting_weight(spec, s_pos=0.9, s_neg=0.1) == 0.0
+        w = boosting_weight_vec(spec, s_pos=np.array([0.1, 0.9]), s_neg=np.array([0.9, 0.1]))
+        np.testing.assert_array_equal(w, [1.0, 0.0])
 
     def test_nonnegative_everywhere(self):
         rng = make_rng(5)
         for kind in ("binomial_deviance", "contrastive"):
             spec = LossSpec(kind=kind)
-            for _ in range(200):
-                w = boosting_weight(
-                    spec, s=float(rng.uniform(-1, 1)), y=int(rng.integers(0, 2))
-                )
-                assert w >= 0.0
+            w = boosting_weight_vec(
+                spec, s=rng.uniform(-1, 1, size=200), y=rng.integers(0, 2, size=200)
+            )
+            assert np.all(w >= 0.0)
 
     def test_signed_variant(self):
         # Signed weights go negative for negative pairs (descent flips there).
-        w = boosting_weight(LossSpec(), s=0.5, y=0, signed=True)
-        assert w == pytest.approx(-25.0)
-        w_pos = boosting_weight(LossSpec(), s=0.5, y=1, signed=True)
-        assert w_pos == pytest.approx(1.0)
+        w = boosting_weight_vec(
+            LossSpec(), s=np.array([0.5, 0.5]), y=np.array([0, 1]), signed=True
+        )
+        np.testing.assert_allclose(w, [-25.0, 1.0])
