@@ -57,19 +57,24 @@ class Checkpoint:
 
 
 class _Reader:
-    def __init__(self, data, path):
-        self.data = data
+    """Sequential reads from an open checkpoint file of known size."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
         self.path = path
 
-    def take(self, n, what):
-        if self.off + n > len(self.data):
+    def _reserve(self, n, what):
+        if self.off + n > self.size:
             raise FormatError(
                 f"{self.path}: truncated while reading {what} at offset {self.off}"
             )
-        out = self.data[self.off:self.off + n]
         self.off += n
-        return out
+
+    def take(self, n, what):
+        self._reserve(n, what)
+        return self.fh.read(n)
 
     def u8(self, what):
         return struct.unpack("<B", self.take(1, what))[0]
@@ -81,25 +86,28 @@ class _Reader:
         return struct.unpack("<Q", self.take(8, what))[0]
 
     def f64_array(self, count, what):
+        """`count` values read straight into a new array, which is returned."""
         start = self.off
-        arr = np.frombuffer(self.take(8 * count, what), dtype="<f8", count=count)
+        self._reserve(8 * count, what)
+        arr = np.empty(count, dtype="<f8")
+        self.fh.readinto(arr)
         finite = np.isfinite(arr)
         if not finite.all():
             off = start + 8 * int(np.argmin(finite))  # the first False
             raise FormatError(f"{self.path}: non-finite {what} at offset {off}")
-        return arr.astype(np.float64)
+        return arr
 
     def blob(self, what):
         n = self.u32(what + " length")
-        return bytes(self.take(n, what))
+        return self.take(n, what)
 
     def at_end(self):
-        return self.off == len(self.data)
+        return self.off == self.size
 
     def expect_end(self):
         if not self.at_end():
             raise FormatError(
-                f"{self.path}: {len(self.data) - self.off} trailing bytes at offset {self.off}"
+                f"{self.path}: {self.size - self.off} trailing bytes at offset {self.off}"
             )
 
 
@@ -228,17 +236,18 @@ def save_checkpoint(path, model, iteration=None, rng_state=None, optimizer=None,
 
 def load_checkpoint(path):
     path = Path(path)
-    rd = _Reader(memoryview(path.read_bytes()), path)
-    model = _read_model(rd)
-    if rd.at_end() or not rd.u8("train state flag"):
+    with open(path, "rb") as fh:
+        rd = _Reader(fh, path)
+        model = _read_model(rd)
+        if rd.at_end() or not rd.u8("train state flag"):
+            rd.expect_end()
+            return Checkpoint(model=model)
+        iteration = rd.u64("iteration")
+        rng_state = json.loads(rd.blob("rng state").decode("utf-8")) or None
+        optimizer = _read_optimizer(rd) if rd.u8("optimizer flag") else None
+        bank = _read_bank(rd) if rd.u8("bank flag") else None
         rd.expect_end()
-        return Checkpoint(model=model)
-    iteration = rd.u64("iteration")
-    rng_state = json.loads(rd.blob("rng state").decode("utf-8")) or None
-    optimizer = _read_optimizer(rd) if rd.u8("optimizer flag") else None
-    bank = _read_bank(rd) if rd.u8("bank flag") else None
-    rd.expect_end()
-    return Checkpoint(
-        model=model, iteration=iteration, rng_state=rng_state,
-        optimizer=optimizer, bank=bank,
-    )
+        return Checkpoint(
+            model=model, iteration=iteration, rng_state=rng_state,
+            optimizer=optimizer, bank=bank,
+        )

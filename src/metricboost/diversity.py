@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
+from .linalg import matmul
 
 
 def _column_penalty(W):
@@ -60,7 +61,7 @@ def activation_loss(model, features, lambda_w):
         raise InvalidArgument("activation loss needs a nonempty 2-D batch")
     n = X.shape[0]
     phi = model.embed_features(X)
-    F = phi @ model.W
+    F = matmul(phi, model.W)
     part = model.partition
     M = part.num_groups
 
@@ -75,7 +76,7 @@ def activation_loss(model, features, lambda_w):
     dF = np.empty_like(F)
     for m, sl in enumerate(part.slices()):
         dF[:, sl] = (2.0 / n) * F[:, sl] * (T - Q[:, m])[:, None]
-    grad_sup = phi.T @ dF
+    grad_sup = matmul(phi.T, dF)
 
     weight_term, grad_pen = _column_penalty(model.W)
     loss = sup_term + lambda_w * weight_term
@@ -200,7 +201,7 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
         raise InvalidArgument("regressor bank does not match the model partition")
     n = X.shape[0]
     phi = model.embed_features(X)
-    F = phi @ model.W
+    F = matmul(phi, model.W)
     slices = part.slices()
     sizes = part.sizes
 
@@ -258,8 +259,8 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
     w_pen, grad_w_pen = _column_penalty(model.W)
     penalty += w_pen
 
-    grad_sim_target = phi.T @ dF_target
-    grad_sim_source = phi.T @ dF_source
+    grad_sim_target = matmul(phi.T, dF_target)
+    grad_sim_source = matmul(phi.T, dF_source)
     # Without the reversal layer the embedding would descend -sim_term.
     grad_unrev = -(grad_sim_target + grad_sim_source)
     if reverse_target_path:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, InvalidArgument
-from .linalg import as_matrix
+from .linalg import as_matrix, matmul
 
 # Hand-chosen group sizes for specific (embedding size, group count) setups.
 # Note the (512, 4) row totals 510; the partition's own total governs W.
@@ -190,7 +190,7 @@ class EnsembleModel:
 
     def forward_batch(self, x):
         """Raw embeddings for a batch: (n, input_dim) -> (n, d)."""
-        return self.embed_features(x) @ self.W
+        return matmul(self.embed_features(x), self.W)
 
     def test_embeddings(self, x, weight_exponent=1.0, renormalize_full=False):
         """Concatenated inference-time embeddings: (n, input_dim) -> (n, d).

@@ -13,10 +13,15 @@ are sorted by descending score, then ascending index. A row whose smallest
 surviving score is tied with entries left out is re-ranked over every entry
 at or above that score, so the result equals a full sort exactly. With
 K_max = 1 the block takes the first maximum per row (argmax), which is the
-same tie rule, and skips the partition, sort and re-rank. Memory is
-O(_BLOCK * N). Non-finite embeddings raise InvalidArgument, and so do rows
-whose squared norm exceeds half the float64 maximum: that bound keeps every
-similarity finite, so it is checked once instead of on every block.
+same tie rule, and skips the partition, sort and re-rank. The blocks are
+shared out over `linalg.workers()` threads, the caller among them, which
+claim them one at a time. Each thread scores its blocks into its own
+(_BLOCK, N) buffer, allocated once per call, and writes only those blocks'
+rows of the result, so the result does not depend on the thread count or on
+which thread ranked which block. Memory is O(workers * _BLOCK * N).
+Non-finite embeddings raise InvalidArgument, and so do rows whose squared
+norm exceeds half the float64 maximum: that bound keeps every similarity
+finite, so it is checked once instead of on every block.
 
 Per-learner Recall@1 is one such K = 1 pass per group over the group's unit
 rows.
@@ -34,11 +39,35 @@ import logging
 import numpy as np
 
 from .errors import InvalidArgument, UndefinedCorrelation
-from .linalg import make_rng
+from .linalg import make_rng, run_parts, workers
 
 log = logging.getLogger(__name__)
 
 _BLOCK = 256  # query rows per similarity block
+
+
+def _rank_block(E, labels, lo, kmax, S, first_hit):
+    """Score query rows lo.. against all of E into S and set their first_hit.
+
+    Runs on pool threads, so it calls numpy only.
+    """
+    n = len(E)
+    np.matmul(E[lo:lo + len(S)], E.T, out=S)
+    q = np.arange(len(S))
+    S[q, lo + q] = -np.inf
+    if kmax == 1:
+        top = S.argmax(axis=1)[:, None]  # first maximum: lowest index wins ties
+    else:
+        top = np.sort(np.argpartition(S, n - kmax, axis=1)[:, n - kmax:], axis=1)
+        score = np.take_along_axis(S, top, axis=1)
+        top = np.take_along_axis(top, np.argsort(-score, axis=1, kind="stable"), axis=1)
+        cut = score.min(axis=1, keepdims=True)
+        # Ties straddling the cut: re-rank every entry >= cut by (-score, index).
+        for r in np.flatnonzero((S >= cut).sum(axis=1) > kmax):
+            cand = np.flatnonzero(S[r] >= cut[r])
+            top[r] = cand[np.lexsort((cand, -S[r, cand]))][:kmax]
+    match = labels[top] == labels[lo:lo + len(S), None]
+    first_hit[lo:lo + len(S)] = np.where(match.any(axis=1), match.argmax(axis=1), kmax)
 
 
 def recall_at_k(embeddings, labels, ks):
@@ -62,23 +91,15 @@ def recall_at_k(embeddings, labels, ks):
         raise InvalidArgument("similarities overflow float64")
     kmax = max(ks)
     first_hit = np.empty(n, dtype=np.intp)  # rank of the first same-label neighbour
-    for lo in range(0, n, _BLOCK):
-        S = E[lo:lo + _BLOCK] @ E.T
-        q = np.arange(len(S))
-        S[q, lo + q] = -np.inf
-        if kmax == 1:
-            top = S.argmax(axis=1)[:, None]  # first maximum: lowest index wins ties
-        else:
-            top = np.sort(np.argpartition(S, n - kmax, axis=1)[:, n - kmax:], axis=1)
-            score = np.take_along_axis(S, top, axis=1)
-            top = np.take_along_axis(top, np.argsort(-score, axis=1, kind="stable"), axis=1)
-            cut = score.min(axis=1, keepdims=True)
-            # Ties straddling the cut: re-rank every entry >= cut by (-score, index).
-            for r in np.flatnonzero((S >= cut).sum(axis=1) > kmax):
-                cand = np.flatnonzero(S[r] >= cut[r])
-                top[r] = cand[np.lexsort((cand, -S[r, cand]))][:kmax]
-        match = labels[top] == labels[lo:lo + len(S), None]
-        first_hit[lo:lo + len(S)] = np.where(match.any(axis=1), match.argmax(axis=1), kmax)
+    blocks = range(0, n, _BLOCK)
+    # One score buffer per thread of the split (see run_parts).
+    scores = [np.empty((min(_BLOCK, n), n)) for _ in range(min(workers(), len(blocks)))]
+
+    def rank(block, slot):
+        lo = blocks[block]
+        _rank_block(E, labels, lo, kmax, scores[slot][:min(_BLOCK, n - lo)], first_hit)
+
+    run_parts(rank, len(blocks))
     return {k: float(np.mean(first_hit < k)) for k in sorted(set(ks))}
 
 

@@ -11,6 +11,9 @@ MOMENTS = {"sgd_momentum": ("vel",), "adam": ("m", "v")}
 # stay below glibc's default 128 KB mmap threshold, so they come from the heap.
 _BLOCK = 8192
 
+# Largest |g| an Adam step accepts: g * g must stay finite.
+_ADAM_GRAD_BOUND = float(np.sqrt(np.finfo(np.float64).max))
+
 
 class Optimizer:
     """Single-owner update rule over a fixed list of parameter arrays.
@@ -48,9 +51,11 @@ class Optimizer:
         """One update over equal-length lists of arrays; params mutate in place.
 
         Shapes, gradients and parameters are checked before any state is
-        touched: a mismatch, a NaN/Inf gradient or a parameter array that is
-        not writeable and C-contiguous refuses the whole step and leaves
-        parameters, moments, `t` and the layout exactly as they were.
+        touched: a mismatch, a NaN/Inf gradient (for Adam, also an entry with
+        |g| >= sqrt(float64 max), whose square overflows v) or a parameter
+        array that is not writeable and C-contiguous refuses the whole step
+        and leaves parameters, moments, `t` and the layout exactly as they
+        were.
         """
         if len(params) != len(grads):
             raise InvalidArgument(f"{len(params)} params but {len(grads)} gradients")
@@ -63,10 +68,20 @@ class Optimizer:
             raise InvalidArgument(
                 f"parameter layout {layout} does not match the optimizer's {self.layout}"
             )
+        # NaN fails both comparisons. Adam squares g into v, which overflows
+        # to inf once |g| reaches sqrt(max); a checkpoint would then hold it.
+        bound = _ADAM_GRAD_BOUND if self.kind == "adam" else np.inf
         for k, g in enumerate(grads):
-            flat_g = g.reshape(-1)  # checked in blocks: no g-sized bool temporary
-            if not all(np.isfinite(flat_g[lo:lo + _BLOCK]).all()
-                       for lo in range(0, g.size, _BLOCK)):
+            flat_g = g.reshape(-1)  # checked in blocks: no temporaries
+            for lo in range(0, g.size, _BLOCK):
+                blk = flat_g[lo:lo + _BLOCK]
+                if blk.max() < bound and blk.min() > -bound:
+                    continue
+                if np.isfinite(blk).all():
+                    raise NumericFailure(
+                        f"gradient for array {k} of shape {g.shape} has an entry with "
+                        f"|g| >= {bound:.3e}, which overflows Adam's v; step refused"
+                    )
                 raise NumericFailure(
                     f"non-finite gradient for array {k} of shape {g.shape}; step refused"
                 )

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,28 @@ class TestAtomicWrite:
         with pytest.raises(OSError):
             save_checkpoint(tmp_path / "t.ckpt", model, iteration=1, optimizer=opt, bank=bank)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestLoadMemory:
+    def test_paper_scale_load_peaks_below_1_2x_the_file(self, tmp_path):
+        # Each array is read straight into its final buffer: the file's bytes
+        # are never held a second time.
+        rng = make_rng(12)
+        model = init_model(rng, 512, GroupPartition((96, 160, 256)))
+        opt = Optimizer(kind="adam", lr=1e-3)
+        opt.step([model.W], [rng.standard_normal(model.W.shape)])
+        path = tmp_path / "paper.ckpt"
+        save_checkpoint(path, model, iteration=20, rng_state=rng.bit_generator.state,
+                        optimizer=opt)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.model.W.tobytes() == model.W.tobytes()
+        assert peak < 1.2 * size
 
 
 class TestCorruptContent:

@@ -80,57 +80,105 @@ def _exact(emb, labels, ks):
     assert recall_at_k(emb, labels, [1]) == {1: want_1}
 
 
+# The tie cases of TestBlockedRecall, as (embeddings, labels, ks). Sizes that
+# follow the block size are read from evaluate._BLOCK when the case is built.
+def _case_n_not_a_multiple_of_the_block():
+    rng = make_rng(20)
+    n = evaluate._BLOCK + 44
+    return rng.standard_normal((n, 4)), rng.integers(0, 30, size=n), [1, 4, 8]
+
+
+def _case_n_smaller_than_one_block():
+    rng = make_rng(21)
+    return rng.standard_normal((90, 3)), rng.integers(0, 9, size=90), [1, 2, 8]
+
+
+def _case_kmax_is_n_minus_one():
+    rng = make_rng(22)
+    emb = rng.integers(-2, 3, size=(40, 2)).astype(float)
+    return emb, rng.integers(0, 8, size=40), [1, 5, 39]
+
+
+def _case_duplicate_rows():
+    # Six distinct integer vectors, each repeated: every query has many
+    # exact ties at its k-th score, in each block.
+    rng = make_rng(23)
+    base = rng.integers(-3, 4, size=(6, 3)).astype(float)
+    emb = base[rng.integers(0, 6, size=100)]
+    return emb, rng.integers(0, 10, size=100), [1, 2, 4, 8]
+
+
+def _case_wide_tie_below_distinct_scores():
+    # For a query at 1.0, three rows at 2.0 rank first and five of the
+    # sixty rows at 1.0 fill the top 8: the re-rank must order a mixed
+    # candidate set by score and then by index.
+    rng = make_rng(27)
+    emb = rng.permutation(np.r_[np.full(60, 1.0), np.full(3, 2.0), np.full(20, -1.0)])
+    return emb[:, None], rng.integers(0, 12, size=83), [1, 4, 8]
+
+
+def _case_ties_across_a_block_boundary():
+    # Rows 12..19 are identical and score highest against each other; a
+    # block edge at 16 splits them, and the lower index must still win.
+    emb = np.zeros((32, 2))
+    emb[:, 0] = np.arange(32) % 3 - 1.0
+    emb[12:20] = [5.0, 5.0]
+    labels = np.arange(32) % 5
+    labels[13] = labels[12]
+    return emb, labels, [1, 2, 3]
+
+
+def _case_block_size_with_ties():
+    rng = make_rng(24)
+    n = 2 * evaluate._BLOCK + 7
+    emb = rng.integers(-1, 2, size=(n, 2)).astype(float)
+    return emb, rng.integers(0, 40, size=n), [1, 8]
+
+
+TIE_CASES = [_case_n_not_a_multiple_of_the_block, _case_n_smaller_than_one_block,
+             _case_kmax_is_n_minus_one, _case_duplicate_rows,
+             _case_wide_tie_below_distinct_scores, _case_ties_across_a_block_boundary,
+             _case_block_size_with_ties]
+
+
 class TestBlockedRecall:
     """Edges of the row-blocked top-k pass, against the brute-force oracle."""
 
     def test_n_not_a_multiple_of_the_block(self):
-        rng = make_rng(20)
-        n = evaluate._BLOCK + 44
-        _exact(rng.standard_normal((n, 4)), rng.integers(0, 30, size=n), [1, 4, 8])
+        _exact(*_case_n_not_a_multiple_of_the_block())
 
     def test_n_smaller_than_one_block(self):
-        rng = make_rng(21)
-        _exact(rng.standard_normal((90, 3)), rng.integers(0, 9, size=90), [1, 2, 8])
+        _exact(*_case_n_smaller_than_one_block())
 
     def test_kmax_is_n_minus_one(self):
-        rng = make_rng(22)
-        emb = rng.integers(-2, 3, size=(40, 2)).astype(float)
-        _exact(emb, rng.integers(0, 8, size=40), [1, 5, 39])
+        _exact(*_case_kmax_is_n_minus_one())
 
     def test_duplicate_rows_tie_across_the_cut_in_every_block(self, monkeypatch):
-        # Six distinct integer vectors, each repeated: every query has many
-        # exact ties at its k-th score, in each of the seven blocks.
         monkeypatch.setattr(evaluate, "_BLOCK", 16)
-        rng = make_rng(23)
-        base = rng.integers(-3, 4, size=(6, 3)).astype(float)
-        emb = base[rng.integers(0, 6, size=100)]
-        _exact(emb, rng.integers(0, 10, size=100), [1, 2, 4, 8])
+        _exact(*_case_duplicate_rows())
 
     def test_wide_tie_below_distinct_scores(self, monkeypatch):
-        # For a query at 1.0, three rows at 2.0 rank first and five of the
-        # sixty rows at 1.0 fill the top 8: the re-rank must order a mixed
-        # candidate set by score and then by index.
         monkeypatch.setattr(evaluate, "_BLOCK", 16)
-        rng = make_rng(27)
-        emb = rng.permutation(np.r_[np.full(60, 1.0), np.full(3, 2.0), np.full(20, -1.0)])
-        _exact(emb[:, None], rng.integers(0, 12, size=83), [1, 4, 8])
+        _exact(*_case_wide_tie_below_distinct_scores())
 
     def test_ties_across_a_block_boundary(self, monkeypatch):
-        # Rows 12..19 are identical and score highest against each other; the
-        # block edge at 16 splits them, and the lower index must still win.
         monkeypatch.setattr(evaluate, "_BLOCK", 16)
-        emb = np.zeros((32, 2))
-        emb[:, 0] = np.arange(32) % 3 - 1.0
-        emb[12:20] = [5.0, 5.0]
-        labels = np.arange(32) % 5
-        labels[13] = labels[12]
-        _exact(emb, labels, [1, 2, 3])
+        _exact(*_case_ties_across_a_block_boundary())
 
     def test_real_block_size_with_ties(self):
-        rng = make_rng(24)
-        n = 2 * evaluate._BLOCK + 7
-        emb = rng.integers(-1, 2, size=(n, 2)).astype(float)
-        _exact(emb, rng.integers(0, 40, size=n), [1, 8])
+        _exact(*_case_block_size_with_ties())
+
+    @pytest.mark.parametrize("case", TIE_CASES, ids=lambda c: c.__name__[len("_case_"):])
+    def test_tie_cases_are_bit_identical_for_any_worker_count(self, monkeypatch,
+                                                              across_workers, case):
+        # 16-row blocks: each of up to three threads ranks several blocks.
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        emb, labels, ks = case()
+        want = repr(({k: brute_force_recall(emb, labels, k) for k in sorted(set(ks))},
+                     {1: brute_force_recall(emb, labels, 1)}))
+        got = across_workers(lambda: repr((recall_at_k(emb, labels, ks),
+                                           recall_at_k(emb, labels, [1]))))
+        assert got == [want] * 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_embeddings_rejected(self, bad):
@@ -411,6 +459,14 @@ class TestEvaluateModel:
                                                  model.partition, fs.labels),
         )
         assert got.csv() == want.csv()
+
+    def test_report_is_bit_identical_for_any_worker_count(self, monkeypatch, across_workers):
+        # The 800 x 128 @ 128 x 144 forward splits into three parts; 64-row blocks.
+        monkeypatch.setattr(evaluate, "_BLOCK", 64)
+        fs = synth_gaussian(SynthSpec(classes=80, per_class=10, feature_dim=128, seed=8))
+        model = init_model(make_rng(3), 128, GroupPartition((32, 48, 64)))
+        reports = across_workers(lambda: evaluate_model(model, fs, ks=(1, 2, 4, 8)).csv())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_eval_pairs_deterministic(self):
         labels = np.repeat(np.arange(5), 6)

@@ -1,5 +1,16 @@
-import numpy as np
+import functools
+import importlib.util
+from pathlib import Path
+import sys
+import threading
+import time
 
+import numpy as np
+import pytest
+
+from metricboost import evaluate, linalg, trainer
+from metricboost.data_io import SynthSpec, synth_gaussian
+from metricboost.ensemble import GroupPartition, init_model
 from metricboost.linalg import make_child_rng, make_rng
 
 
@@ -20,3 +31,212 @@ class TestRng:
         assert not np.array_equal(main, child)
         again = make_child_rng(7, 1).standard_normal(8)
         assert child.tobytes() == again.tobytes()
+
+
+class TestRunParts:
+    def test_every_part_runs_once_and_slot_0_is_the_caller(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 3)
+        seen = {}
+
+        def part(i, slot):
+            time.sleep(0.01)  # long enough for the pool threads to claim parts
+            seen[i] = (slot, threading.current_thread())
+
+        linalg.run_parts(part, 9)
+        assert sorted(seen) == list(range(9))
+        for slot, thread in seen.values():
+            assert (slot == 0) == (thread is threading.main_thread())
+        assert {slot for slot, _ in seen.values()} == {0, 1, 2}
+
+    def test_one_worker_runs_everything_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 1)
+        monkeypatch.setattr(linalg, "_executor", None)  # calling it would fail
+        seen = []
+        linalg.run_parts(lambda i, slot: seen.append((i, slot, threading.current_thread())), 3)
+        assert seen == [(i, 0, threading.main_thread()) for i in range(3)]
+
+    def test_a_late_pool_thread_leaves_its_parts_to_the_caller(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        real = linalg._executor
+
+        class Late:
+            def submit(self, fn, *args):
+                def late():
+                    time.sleep(0.2)
+                    return fn(*args)
+                return real(1).submit(late)
+
+        monkeypatch.setattr(linalg, "_executor", lambda threads: Late())
+        slots = []
+        linalg.run_parts(lambda i, slot: slots.append(slot), 4)
+        assert slots == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_a_failing_part_waits_for_the_others(self, monkeypatch, failing):
+        monkeypatch.setattr(linalg, "_WORKERS", 3)
+        error = ValueError("part failed")
+        buf = np.zeros(3)
+
+        def part(i, _):
+            if i == failing:
+                raise error
+            time.sleep(0.2)
+            buf[i] = 1.0
+
+        with pytest.raises(ValueError) as info:
+            linalg.run_parts(part, 3)
+        assert info.value is error
+        want = np.ones(3)
+        want[failing] = 0.0
+        assert buf.tolist() == want.tolist()  # every other part finished first
+        time.sleep(0.05)
+        assert buf.tolist() == want.tolist()
+
+    def test_an_interrupted_caller_stops_the_split(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        done = []
+
+        def part(i, slot):
+            if slot == 0:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            done.append(i)
+
+        with pytest.raises(KeyboardInterrupt):
+            linalg.run_parts(part, 20)
+        finished = list(done)
+        assert len(finished) <= 2  # the pool thread starts no part after the interrupt
+        time.sleep(0.1)
+        assert done == finished
+
+    @pytest.mark.parametrize("slow", [1, 2])
+    def test_first_failing_part_in_part_order_wins(self, monkeypatch, slow):
+        monkeypatch.setattr(linalg, "_WORKERS", 3)
+        errors = [None, KeyError("one"), KeyError("two")]
+
+        def part(i, _):
+            if i == slow:
+                time.sleep(0.1)  # fails after the other part has failed
+            if errors[i] is not None:
+                raise errors[i]
+
+        with pytest.raises(KeyError) as info:
+            linalg.run_parts(part, 3)
+        assert info.value is errors[1]
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # Four workers and a short switch interval: a part that wrote into
+        # another's rows or buffer, or a lost write, changes the bytes.
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        monkeypatch.setattr(linalg, "_PART_MACS", 1 << 20)
+        rng = make_rng(8)
+        emb = rng.integers(-2, 3, size=(400, 3)).astype(float)
+        labels = rng.integers(0, 20, size=400)
+        A, B = rng.standard_normal((400, 256)), rng.standard_normal((256, 256))
+        want = repr(evaluate.recall_at_k(emb, labels, [1, 4])), (A @ B).tobytes()
+        monkeypatch.setattr(linalg, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = (repr(evaluate.recall_at_k(emb, labels, [1, 4])),
+                       linalg.matmul(A, B).tobytes())
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("n,k,m,transpose", [
+        (16, 512, 512, False),  # batch 16: one part
+        (64, 512, 512, False),  # batch 64: four parts
+        (64, 512, 512, True),  # phi.T @ dF at batch 64
+        (16, 512, 512, True),
+        (1000, 512, 512, False),
+        (999, 512, 96, False),
+        (2000, 64, 96, False),
+    ])
+    def test_bits_equal_the_whole_product(self, across_workers, n, k, m, transpose):
+        rng = make_rng(n + k + m)
+        A = rng.standard_normal((k, n)).T if transpose else rng.standard_normal((n, k))
+        B = rng.standard_normal((k, m))
+        whole = (A @ B).tobytes()
+        assert across_workers(lambda: linalg.matmul(A, B).tobytes()) == [whole] * 3
+
+    @pytest.mark.parametrize("n,parts", [(16, 0), (64, 0), (127, 0), (128, 2), (200, 3),
+                                         (1000, 15)])
+    def test_split_from_two_parts_of_the_cutoff(self, monkeypatch, n, parts):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        calls = []
+        real = linalg.run_parts
+        monkeypatch.setattr(linalg, "run_parts",
+                            lambda fn, count: (calls.append(count), real(fn, count)))
+        A = np.ones((n, 512))
+        assert np.all(linalg.matmul(A, np.ones((512, 512))) == 512.0)
+        assert calls == ([parts] if parts else [])
+
+    def test_few_rows_are_never_split(self, monkeypatch):
+        # Three parts' worth of multiply-adds, but a part would get fewer
+        # than 8 rows.
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        monkeypatch.setattr(linalg, "_PART_MACS", 1 << 20)
+        monkeypatch.setattr(linalg, "run_parts", None)
+        A = make_rng(3).standard_normal((15, 512))
+        B = make_rng(4).standard_normal((512, 512))
+        assert linalg.matmul(A, B).tobytes() == (A @ B).tobytes()
+
+    def test_one_worker_never_splits(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 1)
+        monkeypatch.setattr(linalg, "run_parts", None)
+        A = make_rng(5).standard_normal((1000, 512))
+        B = make_rng(6).standard_normal((512, 512))
+        assert linalg.matmul(A, B).tobytes() == (A @ B).tobytes()
+
+
+def _load_tracer_patches():
+    """perfbench/spans.py's PATCHES, loaded without putting perfbench on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PATCHES
+
+
+class TestTracerSafety:
+    """Worker threads never enter a function the benchmark's tracer wraps:
+    its span stack is not thread-safe."""
+
+    @pytest.mark.filterwarnings("ignore:init solver left")
+    def test_traced_functions_run_on_the_main_thread(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        monkeypatch.setattr(linalg, "_PART_MACS", 1 << 22)  # split the 2000-row products
+        calls, off_main = [], []
+
+        def on_main(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, attr, name, _ in _load_tracer_patches():
+            monkeypatch.setattr(owner, attr, on_main(name, owner.__dict__[attr]))
+        pool_threads = set()
+        rank_block = evaluate._rank_block
+
+        def spy(*args):
+            pool_threads.add(threading.current_thread())
+            return rank_block(*args)
+
+        monkeypatch.setattr(evaluate, "_rank_block", spy)
+
+        fs = synth_gaussian(SynthSpec(classes=200, per_class=10, feature_dim=64, seed=5))
+        model = init_model(make_rng(6), 64, GroupPartition((32, 64)))
+        evaluate.evaluate_model(model, fs)
+        trainer.init_solver(fs.features, model, "activation", lambda_w=1.0, lr=1e-4,
+                            max_iterations=3)
+        assert off_main == []
+        assert {"evaluate.recall_at_k", "ensemble.forward_batch", "optim.step"} <= set(calls)
+        assert len(pool_threads) == 2  # the sweep did run on a pool thread

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from metricboost import optim
+from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.data_io import SynthSpec, synth_gaussian
+from metricboost.ensemble import GroupPartition, init_model
 from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.optim import Optimizer
 from metricboost.trainer import TrainConfig, run
@@ -159,6 +161,45 @@ class TestBlockedUpdate:
         p = np.zeros_like(g)
         Optimizer(kind="sgd_momentum", lr=1e-10).step([p], [g])
         assert np.all(p == -(1e-10 * 1e308))
+
+    @pytest.mark.parametrize("big", [1e160, -1e160, optim._ADAM_GRAD_BOUND])
+    def test_adam_gradient_that_overflows_v_refused_without_mutation(self, big):
+        rng = np.random.default_rng(43)
+        shapes = [(5,), (self.B + 3,)]
+        params = [rng.standard_normal(s) for s in shapes]
+        opt = Optimizer(kind="adam", lr=0.1)
+        opt.step(params, [rng.standard_normal(s) for s in shapes])
+        snap_p = [p.copy() for p in params]
+        snap = {k: v.copy() for k, v in opt.buffers["flat"].items()}
+        grads = [rng.standard_normal(s) for s in shapes]
+        grads[1][self.B + 1] = big
+        with pytest.raises(NumericFailure, match=r"array 1 of shape \(8195,\) has an entry "
+                                                 r"with \|g\| >= 1\.341e\+154"):
+            opt.step(params, grads)
+        assert all(_same_bytes(p, s) for p, s in zip(params, snap_p))
+        assert all(_same_bytes(opt.buffers["flat"][k], v) for k, v in snap.items())
+        assert opt.t == 1
+
+    def test_sgd_accepts_a_gradient_adam_refuses(self):
+        p = np.zeros(3)
+        Optimizer(kind="sgd_momentum", lr=1e-10).step([p], [np.full(3, 1e160)])
+        assert np.all(p == -(1e-10 * 1e160))
+
+    def test_large_adam_gradient_checkpoint_round_trips(self, tmp_path):
+        # 1e150 squared is finite, so the step is taken and every moment
+        # stays finite: the checkpoint that training writes loads again.
+        model = init_model(np.random.default_rng(44), 6, GroupPartition((2, 4)))
+        opt = Optimizer(kind="adam", lr=0.1)
+        g = np.zeros(model.W.shape)
+        g[1, 2] = 1e150
+        opt.step([model.W], [g])
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, model, iteration=1, optimizer=opt)
+        back = load_checkpoint(path)
+        assert _same_bytes(back.model.W, model.W)
+        for key in ("m", "v"):
+            assert _same_bytes(back.optimizer.buffers["flat"][key], opt.buffers["flat"][key])
+        assert back.optimizer.t == 1
 
     @pytest.mark.parametrize("param", [np.zeros((4, 3)).T, np.zeros((4, 3))[:, :2]])
     def test_non_contiguous_parameter_refused(self, param):

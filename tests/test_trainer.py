@@ -1,11 +1,14 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from metricboost.boosting import accumulate_plain_gradient, accumulate_W_gradient
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.data_io import SynthSpec, synth_gaussian
-from metricboost.diversity import adversarial_loss
+from metricboost.diversity import RegressorBank, activation_loss, adversarial_loss
+from metricboost.ensemble import init_model
 from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.linalg import make_rng
 from metricboost.optim import Optimizer
@@ -341,3 +344,91 @@ class TestInitSolver:
         with pytest.raises(NumericFailure):
             init_solver(fs.features, model, "activation", lambda_w=100.0,
                         lr=1e3, max_iterations=200)
+
+
+def _paper_scale(seed=4):
+    """128 samples of 512 features and a 512-wide, three-group model: batch
+    products of 64 rows split into three parts under three workers."""
+    fs = synth_gaussian(SynthSpec(classes=16, per_class=8, feature_dim=512,
+                                  cluster_spread=10.0, noise=1.2, seed=seed))
+    cfg = TrainConfig(embedding_dim=512, num_groups=3, partition="preset",
+                      batch_classes=8, samples_per_class=8, seed=seed)
+    return fs, cfg
+
+
+def _same_across_workers(results):
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+class TestSplitIsBitIdentical:
+    """The worker count (1, 2 or 3; see conftest) moves no float bit."""
+
+    @pytest.mark.parametrize("route", ["boosted", "plain", "triplet", "backbone"])
+    def test_gradients(self, across_workers, route):
+        fs, cfg = _paper_scale()
+        rng = make_rng(1)
+        model, _ = build_model(cfg, fs.feature_dim, rng)
+        if route == "backbone":
+            model = init_model(rng, 512, model.partition, backbone_in_dim=512)
+        sampled = sample_batch(fs, 8, 8, rng, mine="triplets" if route == "triplet" else "pairs")
+        X = fs.features[sampled.indices]
+        if route == "triplet":
+            spec, batch = TrainConfig(loss="triplet").loss_spec(), sampled.triplets
+        else:
+            spec, batch = cfg.loss_spec(), sampled.pairs
+
+        def grads():
+            if route == "plain":
+                res = accumulate_plain_gradient(model, X, batch, spec)
+            else:
+                res = accumulate_W_gradient(model, X, batch, spec,
+                                            train_backbone=route == "backbone")
+            parts = [res.grad_W, res.grad_backbone_weight, res.grad_backbone_bias]
+            return repr(res.loss), [None if p is None else p.tobytes() for p in parts]
+
+        _same_across_workers(across_workers(grads))
+
+    def test_diversity_losses(self, across_workers):
+        fs, cfg = _paper_scale()
+        rng = make_rng(2)
+        model, _ = build_model(cfg, fs.feature_dim, rng)
+        bank = RegressorBank.create(rng, model.partition, hidden=64)
+        X = fs.features[:64]
+
+        def losses():
+            act = activation_loss(model, X, 100.0)
+            adv = adversarial_loss(model, bank, X, 100.0)
+            reg = [getattr(adv.regressor_grads[key], name).tobytes()
+                   for key in bank.keys() for name in ("W1", "b1", "W2", "b2")]
+            return (repr((act.loss, act.sup_term, adv.loss, adv.sim_term)),
+                    act.grad_W.tobytes(), adv.grad_W.tobytes(),
+                    adv.grad_W_sim_unreversed.tobytes(), reg)
+
+        _same_across_workers(across_workers(losses))
+
+    @pytest.mark.filterwarnings("ignore:init solver left")
+    @pytest.mark.parametrize("kind", ["activation", "adversarial"])
+    def test_init_solver(self, across_workers, kind):
+        fs, cfg = _paper_scale()
+
+        def init():
+            rng = make_rng(3)
+            model, _ = build_model(cfg, fs.feature_dim, rng)
+            bank = RegressorBank.create(rng, model.partition, hidden=64)
+            res = init_solver(fs.features, model, kind, lambda_w=1e4, lr=1e-6,
+                              max_iterations=3, bank=bank)
+            return repr((res.final_loss, res.final_div_term)), model.W.tobytes()
+
+        _same_across_workers(across_workers(init))
+
+    def test_run_metrics_csv(self, across_workers, tmp_path):
+        fs, cfg = _paper_scale()
+        cfg = replace(cfg, iterations=4, eval_interval=2, diversity="adversarial",
+                      regressor_hidden=64, eval_ks=(1, 4))
+
+        def csv():
+            path = tmp_path / "m.csv"
+            run(cfg, fs, metrics_path=path)
+            return path.read_text()
+
+        _same_across_workers(across_workers(csv))
