@@ -30,7 +30,6 @@ import numpy as np
 # because perfbench/spans.py patches it by this module's name.
 from .ensemble import GroupPartition, cosine_sim_grad_batch, make_schedule  # noqa: F401
 from .errors import InvalidArgument, NumericFailure
-from .linalg import matmul
 from .losses import boosting_weight_vec, pair_loss_vec, triplet_loss_vec
 
 
@@ -195,7 +194,7 @@ def _finish_gradient(model, X, dF, phi, pre):
     `phi` is the embedding input of the forward pass and `pre` the backbone's
     pre-activations, so the chain reuses them instead of a second forward.
     """
-    grad_W = matmul(phi.T, dF)
+    grad_W = phi.T @ dF
     if pre is None:
         return grad_W, None, None
     dphi = dF @ model.W.T
@@ -221,7 +220,7 @@ def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_b
         phi, pre = model.backbone.forward_with_pre(X)
     else:
         phi = model.embed_features(X)
-    F = matmul(phi, model.W)
+    F = phi @ model.W
     n = len(F)
     slices = part.slices()
     norms = np.stack([np.linalg.norm(F[:, sl], axis=1) for sl in slices], axis=-1)

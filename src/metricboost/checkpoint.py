@@ -65,16 +65,21 @@ class _Reader:
         self.off = 0
         self.path = path
 
+    def _truncated(self, what, off):
+        return FormatError(f"{self.path}: truncated while reading {what} at offset {off}")
+
     def _reserve(self, n, what):
         if self.off + n > self.size:
-            raise FormatError(
-                f"{self.path}: truncated while reading {what} at offset {self.off}"
-            )
+            raise self._truncated(what, self.off)
         self.off += n
 
     def take(self, n, what):
+        start = self.off
         self._reserve(n, what)
-        return self.fh.read(n)
+        data = self.fh.read(n)
+        if len(data) != n:  # the file shrank after it was opened
+            raise self._truncated(what, start)
+        return data
 
     def u8(self, what):
         return struct.unpack("<B", self.take(1, what))[0]
@@ -90,7 +95,8 @@ class _Reader:
         start = self.off
         self._reserve(8 * count, what)
         arr = np.empty(count, dtype="<f8")
-        self.fh.readinto(arr)
+        if self.fh.readinto(arr) != 8 * count:  # the file shrank after it was opened
+            raise self._truncated(what, start)
         finite = np.isfinite(arr)
         if not finite.all():
             off = start + 8 * int(np.argmin(finite))  # the first False

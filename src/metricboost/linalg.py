@@ -8,18 +8,22 @@ the split of large work over the cores the process may run on.
 
 `run_parts(fn, count)` calls fn for each of `count` parts: the caller and a
 lazily created pool of `workers() - 1` threads claim the parts one by one.
-The worker count is the size of the CPU affinity mask (`os.cpu_count()`
-where there is no mask); it is not configurable. With one worker every part
-runs on the caller and no thread is started. A part must only call numpy and
-write to memory no other part touches; `matmul` and the Recall@K block sweep
-are the two users. `matmul(A, B)` splits A's rows into contiguous parts and
-writes each into one preallocated output. It relies on the BLAS computing
-each output row of a product the same way whichever rows it is given with,
-so the result equals `A @ B` bit for bit. A part gets at least `_PART_MACS`
-multiply-adds; smaller products run whole.
+The worker count is read once, at import, from what the process can see,
+and is not configurable. It is 1 unless the loaded BLAS is OpenBLAS running
+one thread (a threaded BLAS already uses the cores, and splitting on top of
+it measured slower); otherwise it is the size of the CPU affinity mask
+(`os.cpu_count()` where there is no mask), capped at `_MAX_WORKERS`. With
+one worker every part runs on the caller and no thread is started. A part
+must only call numpy and write to memory no other part touches; `matmul`
+and the Recall@K block sweep are the two users. `matmul(A, B)` splits A's
+rows into contiguous parts and writes each into one preallocated output.
+It relies on the BLAS computing each output row of a product the same way
+whichever rows it is given with, so the result equals `A @ B` bit for bit.
+A part gets at least `_PART_MACS` multiply-adds; smaller products run whole.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
+import ctypes
 import os
 import threading
 
@@ -38,6 +42,9 @@ from .errors import InvalidArgument
 # from the whole product.
 _PART_MACS = 1 << 24
 _PART_ROWS = 8  # fewest rows of a part: numpy hands one-row products to gemv
+# Most threads a split uses, the caller included. Only 2 vCPUs were
+# measured; each thread of the Recall@K sweep holds a 256 x N score buffer.
+_MAX_WORKERS = 2
 
 
 def make_rng(seed):
@@ -69,15 +76,39 @@ def as_matrix(data):
     return m
 
 
-def _cpu_count():
+def _blas_threads():
+    """Thread count of the loaded OpenBLAS, None where it cannot be read."""
     try:
-        return len(os.sched_getaffinity(0))
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _worker_count():
+    if _blas_threads() != 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
-_WORKERS = _cpu_count()
-_pool = None  # (thread count, executor), created on first use
+_WORKERS = _worker_count()
+_pool = None  # ThreadPoolExecutor of _WORKERS - 1 threads, created on first use
 _pool_lock = threading.Lock()
 
 
@@ -94,14 +125,12 @@ def workers():
     return _WORKERS
 
 
-def _executor(threads):
+def _executor():
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] != threads:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="metricboost"))
-        return _pool[1]
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="metricboost")
+        return _pool
 
 
 def run_parts(fn, count):
@@ -136,7 +165,7 @@ def run_parts(fn, count):
             except Exception as exc:  # raised by the caller once every part is done
                 errors.append((part, exc))
 
-    pool = _executor(_WORKERS - 1)
+    pool = _executor()
     futures = [pool.submit(work, slot) for slot in range(1, threads)]
     try:
         work(0)

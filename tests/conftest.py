@@ -4,7 +4,30 @@ from metricboost import linalg
 
 
 @pytest.fixture
-def across_workers(monkeypatch):
+def set_workers(monkeypatch):
+    """set_workers(count): linalg's worker count, with a new pool for it.
+
+    The package reads the count once and sizes its pool from it, so a test
+    that changes the count also drops the pool; pools made here are shut
+    down when the test ends.
+    """
+    original = linalg._pool
+
+    def shut_down_own_pool():
+        if linalg._pool is not None and linalg._pool is not original:
+            linalg._pool.shutdown()
+
+    def set_(count):
+        shut_down_own_pool()
+        monkeypatch.setattr(linalg, "_WORKERS", count)
+        monkeypatch.setattr(linalg, "_pool", None)
+
+    yield set_
+    shut_down_own_pool()
+
+
+@pytest.fixture
+def across_workers(monkeypatch, set_workers):
     """run(fn) -> [fn() with linalg's worker count at 1, 2 and 3].
 
     Three workers share parts unevenly; one runs the serial path. Products
@@ -17,7 +40,7 @@ def across_workers(monkeypatch):
     def run(fn):
         results = []
         for count in (1, 2, 3):
-            monkeypatch.setattr(linalg, "_WORKERS", count)
+            set_workers(count)
             results.append(fn())
         return results
     return run

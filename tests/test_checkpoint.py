@@ -100,6 +100,23 @@ class TestModelBlock:
         with pytest.raises(FormatError, match="offset"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("array", [False, True])
+    def test_file_shrinking_after_open_is_truncation(self, tmp_path, array):
+        # The length is checked against the size seen at open; a short read
+        # must still refuse rather than keep unread buffer memory.
+        path = tmp_path / "m.ckpt"
+        count = 8192  # larger than the read buffer, so the shrink is seen
+        path.write_bytes(b"\x01" * 8 + np.ones(count).tobytes())
+        with open(path, "rb") as fh:
+            rd = checkpoint._Reader(fh, path)
+            rd.take(8, "magic")
+            path.write_bytes(b"\x01" * 8 + np.ones(count // 2).tobytes())
+            with pytest.raises(FormatError, match=r"truncated while reading W at offset 8$"):
+                if array:
+                    rd.f64_array(count, "W")
+                else:
+                    rd.take(8 * count, "W")
+
     @pytest.mark.parametrize("full", [False, True])
     def test_trailing_byte_rejected(self, tmp_path, full):
         path = tmp_path / "m.ckpt"

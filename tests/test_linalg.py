@@ -1,6 +1,8 @@
 import functools
 import importlib.util
+import os
 from pathlib import Path
+import subprocess
 import sys
 import threading
 import time
@@ -33,9 +35,38 @@ class TestRng:
         assert child.tobytes() == again.tobytes()
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("blas,cpus,want", [
+        (None, 8, 1),  # BLAS not OpenBLAS or not found: serial
+        (2, 8, 1),  # a threaded BLAS already uses the cores
+        (1, 1, 1),
+        (1, 2, 2),
+        (1, 64, 2),  # capped at what was measured
+    ])
+    def test_rule(self, monkeypatch, blas, cpus, want):
+        monkeypatch.setattr(linalg, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert linalg._worker_count() == want
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_read_from_the_loaded_blas(self, threads):
+        if linalg._blas_threads() is None:
+            pytest.skip("the loaded BLAS reports no thread count")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from metricboost import linalg; print(linalg._blas_threads(), linalg.workers())",
+             src], env=env, capture_output=True, text=True, check=True, timeout=60)
+        blas, count = map(int, out.stdout.split())
+        assert blas == int(threads)
+        cpus = len(os.sched_getaffinity(0))
+        assert count == (min(cpus, 2) if threads == "1" else 1)
+
+
 class TestRunParts:
-    def test_every_part_runs_once_and_slot_0_is_the_caller(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_WORKERS", 3)
+    def test_every_part_runs_once_and_slot_0_is_the_caller(self, monkeypatch, set_workers):
+        set_workers(3)
         seen = {}
 
         def part(i, slot):
@@ -48,15 +79,15 @@ class TestRunParts:
             assert (slot == 0) == (thread is threading.main_thread())
         assert {slot for slot, _ in seen.values()} == {0, 1, 2}
 
-    def test_one_worker_runs_everything_on_the_caller(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_WORKERS", 1)
+    def test_one_worker_runs_everything_on_the_caller(self, monkeypatch, set_workers):
+        set_workers(1)
         monkeypatch.setattr(linalg, "_executor", None)  # calling it would fail
         seen = []
         linalg.run_parts(lambda i, slot: seen.append((i, slot, threading.current_thread())), 3)
         assert seen == [(i, 0, threading.main_thread()) for i in range(3)]
 
-    def test_a_late_pool_thread_leaves_its_parts_to_the_caller(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_WORKERS", 2)
+    def test_a_late_pool_thread_leaves_its_parts_to_the_caller(self, monkeypatch, set_workers):
+        set_workers(2)
         real = linalg._executor
 
         class Late:
@@ -64,16 +95,16 @@ class TestRunParts:
                 def late():
                     time.sleep(0.2)
                     return fn(*args)
-                return real(1).submit(late)
+                return real().submit(late)
 
-        monkeypatch.setattr(linalg, "_executor", lambda threads: Late())
+        monkeypatch.setattr(linalg, "_executor", lambda: Late())
         slots = []
         linalg.run_parts(lambda i, slot: slots.append(slot), 4)
         assert slots == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_a_failing_part_waits_for_the_others(self, monkeypatch, failing):
-        monkeypatch.setattr(linalg, "_WORKERS", 3)
+    def test_a_failing_part_waits_for_the_others(self, monkeypatch, set_workers, failing):
+        set_workers(3)
         error = ValueError("part failed")
         buf = np.zeros(3)
 
@@ -92,8 +123,8 @@ class TestRunParts:
         time.sleep(0.05)
         assert buf.tolist() == want.tolist()
 
-    def test_an_interrupted_caller_stops_the_split(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_WORKERS", 2)
+    def test_an_interrupted_caller_stops_the_split(self, monkeypatch, set_workers):
+        set_workers(2)
         done = []
 
         def part(i, slot):
@@ -110,8 +141,8 @@ class TestRunParts:
         assert done == finished
 
     @pytest.mark.parametrize("slow", [1, 2])
-    def test_first_failing_part_in_part_order_wins(self, monkeypatch, slow):
-        monkeypatch.setattr(linalg, "_WORKERS", 3)
+    def test_first_failing_part_in_part_order_wins(self, monkeypatch, set_workers, slow):
+        set_workers(3)
         errors = [None, KeyError("one"), KeyError("two")]
 
         def part(i, _):
@@ -124,7 +155,7 @@ class TestRunParts:
             linalg.run_parts(part, 3)
         assert info.value is errors[1]
 
-    def test_stress_more_workers_than_cores(self, monkeypatch):
+    def test_stress_more_workers_than_cores(self, monkeypatch, set_workers):
         # Four workers and a short switch interval: a part that wrote into
         # another's rows or buffer, or a lost write, changes the bytes.
         monkeypatch.setattr(evaluate, "_BLOCK", 16)
@@ -134,7 +165,7 @@ class TestRunParts:
         labels = rng.integers(0, 20, size=400)
         A, B = rng.standard_normal((400, 256)), rng.standard_normal((256, 256))
         want = repr(evaluate.recall_at_k(emb, labels, [1, 4])), (A @ B).tobytes()
-        monkeypatch.setattr(linalg, "_WORKERS", 4)
+        set_workers(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -165,8 +196,8 @@ class TestMatmul:
 
     @pytest.mark.parametrize("n,parts", [(16, 0), (64, 0), (127, 0), (128, 2), (200, 3),
                                          (1000, 15)])
-    def test_split_from_two_parts_of_the_cutoff(self, monkeypatch, n, parts):
-        monkeypatch.setattr(linalg, "_WORKERS", 2)
+    def test_split_from_two_parts_of_the_cutoff(self, monkeypatch, set_workers, n, parts):
+        set_workers(2)
         calls = []
         real = linalg.run_parts
         monkeypatch.setattr(linalg, "run_parts",
@@ -175,18 +206,18 @@ class TestMatmul:
         assert np.all(linalg.matmul(A, np.ones((512, 512))) == 512.0)
         assert calls == ([parts] if parts else [])
 
-    def test_few_rows_are_never_split(self, monkeypatch):
+    def test_few_rows_are_never_split(self, monkeypatch, set_workers):
         # Three parts' worth of multiply-adds, but a part would get fewer
         # than 8 rows.
-        monkeypatch.setattr(linalg, "_WORKERS", 2)
+        set_workers(2)
         monkeypatch.setattr(linalg, "_PART_MACS", 1 << 20)
         monkeypatch.setattr(linalg, "run_parts", None)
         A = make_rng(3).standard_normal((15, 512))
         B = make_rng(4).standard_normal((512, 512))
         assert linalg.matmul(A, B).tobytes() == (A @ B).tobytes()
 
-    def test_one_worker_never_splits(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_WORKERS", 1)
+    def test_one_worker_never_splits(self, monkeypatch, set_workers):
+        set_workers(1)
         monkeypatch.setattr(linalg, "run_parts", None)
         A = make_rng(5).standard_normal((1000, 512))
         B = make_rng(6).standard_normal((512, 512))
@@ -207,8 +238,8 @@ class TestTracerSafety:
     its span stack is not thread-safe."""
 
     @pytest.mark.filterwarnings("ignore:init solver left")
-    def test_traced_functions_run_on_the_main_thread(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_WORKERS", 2)
+    def test_traced_functions_run_on_the_main_thread(self, monkeypatch, set_workers):
+        set_workers(2)
         monkeypatch.setattr(linalg, "_PART_MACS", 1 << 22)  # split the 2000-row products
         calls, off_main = [], []
 

@@ -348,7 +348,8 @@ class TestInitSolver:
 
 def _paper_scale(seed=4):
     """128 samples of 512 features and a 512-wide, three-group model: under
-    `across_workers`, products of a 64-sample batch split into four parts."""
+    `across_workers`, the `linalg.matmul` products of a 64-sample batch split
+    into four parts."""
     fs = synth_gaussian(SynthSpec(classes=16, per_class=8, feature_dim=512,
                                   cluster_spread=10.0, noise=1.2, seed=seed))
     cfg = TrainConfig(embedding_dim=512, num_groups=3, partition="preset",
