@@ -18,7 +18,8 @@ shared out over `linalg.workers()` threads, the caller among them, which
 claim them one at a time. Each thread scores its blocks into its own
 (_BLOCK, N) buffer, allocated once per call, and writes only those blocks'
 rows of the result, so the result does not depend on the thread count or on
-which thread ranked which block. Memory is O(workers * _BLOCK * N).
+which thread ranked which block. Memory is O(workers * _BLOCK * N), at most
+2 * 256 * N * 8 bytes of score buffers (see `linalg._MAX_WORKERS`).
 Non-finite embeddings raise InvalidArgument, and so do rows whose squared
 norm exceeds half the float64 maximum: that bound keeps every similarity
 finite, so it is checked once instead of on every block.
