@@ -20,7 +20,7 @@ TRAIN_KEYS = {
     "cost_neg": ("float", "negative-pair cost (default 25)"),
     "embedding_dim": ("int", "total embedding size d"),
     "num_groups": ("int", "number of learners M"),
-    "partition": ("str", "proportional | preset | explicit"),
+    "partition": ("str", "proportional | preset (group_sizes overrides either)"),
     "group_sizes": ("int_tuple", "explicit group sizes, overrides partition mode"),
     "diversity": ("str", "none | activation | adversarial"),
     "lambda_div": ("opt_float", "diversity weight (default 1e-2 act / 1e-3 adv)"),
@@ -47,7 +47,6 @@ TRAIN_KEYS = {
     "reverse_target_path": ("bool", "also reverse the target-embedding path"),
     "max_pairs_per_batch": ("int", "cap on mined pairs (0 = no cap)"),
     "eval_interval": ("int", "iterations between metric rows (0 = none)"),
-    "eval_ks": ("int_tuple", "recall@K values for eval"),
     "eval_pairs": ("int", "pairs used for classifier correlation"),
     "init_lr": ("float", "init solver learning rate"),
     "init_iterations": ("int", "init solver iteration cap"),

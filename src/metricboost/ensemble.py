@@ -128,13 +128,16 @@ class Backbone:
 
     def forward(self, x):
         """x: (in_dim,) or (n, in_dim). Returns activations with matching shape."""
-        pre = np.asarray(x, dtype=np.float64) @ self.weight.T + self.bias
-        return np.maximum(pre, 0.0)
+        return _backbone_forward(self, x)[0]
 
     def forward_with_pre(self, x):
         """Returns (activations, pre-activations); the latter feeds the ReLU mask."""
-        pre = np.asarray(x, dtype=np.float64) @ self.weight.T + self.bias
-        return np.maximum(pre, 0.0), pre
+        return _backbone_forward(self, x)
+
+
+def _backbone_forward(backbone, x):
+    pre = np.asarray(x, dtype=np.float64) @ backbone.weight.T + backbone.bias
+    return np.maximum(pre, 0.0), pre
 
 
 def init_backbone(rng, in_dim, out_dim):
@@ -147,16 +150,14 @@ def init_backbone(rng, in_dim, out_dim):
 class EnsembleModel:
     """Embedding matrix W plus its group partition and boosting schedule."""
 
-    def __init__(self, embedding, partition, schedule=None, backbone=None):
+    def __init__(self, embedding, partition, backbone=None):
         self.W = as_matrix(embedding)
         self.partition = partition
         if self.W.shape[1] != partition.total_dim:
             raise InvalidArgument(
                 f"W has {self.W.shape[1]} columns, partition needs {partition.total_dim}"
             )
-        self.schedule = schedule or make_schedule(partition.num_groups)
-        if self.schedule.num_learners != partition.num_groups:
-            raise InvalidArgument("schedule and partition disagree on group count")
+        self.schedule = make_schedule(partition.num_groups)
         if backbone is not None and backbone.out_dim != self.W.shape[0]:
             raise InvalidArgument("backbone output dim must match W rows")
         self.backbone = backbone
@@ -222,7 +223,7 @@ class EnsembleModel:
         backbone = None
         if self.backbone is not None:
             backbone = Backbone(self.backbone.weight.copy(), self.backbone.bias.copy())
-        return EnsembleModel(self.W.copy(), self.partition, self.schedule, backbone)
+        return EnsembleModel(self.W.copy(), self.partition, backbone)
 
 
 def init_model(rng, feature_dim, partition, backbone_in_dim=None):

@@ -70,21 +70,19 @@ class Optimizer:
             )
         # NaN fails both comparisons. Adam squares g into v, which overflows
         # to inf once |g| reaches sqrt(max); a checkpoint would then hold it.
+        # The reductions allocate nothing; isfinite runs only on failure.
         bound = _ADAM_GRAD_BOUND if self.kind == "adam" else np.inf
         for k, g in enumerate(grads):
-            flat_g = g.reshape(-1)  # checked in blocks: no temporaries
-            for lo in range(0, g.size, _BLOCK):
-                blk = flat_g[lo:lo + _BLOCK]
-                if blk.max() < bound and blk.min() > -bound:
-                    continue
-                if np.isfinite(blk).all():
-                    raise NumericFailure(
-                        f"gradient for array {k} of shape {g.shape} has an entry with "
-                        f"|g| >= {bound:.3e}, which overflows Adam's v; step refused"
-                    )
+            if np.max(g, initial=-np.inf) < bound and np.min(g, initial=np.inf) > -bound:
+                continue
+            if np.isfinite(g).all():
                 raise NumericFailure(
-                    f"non-finite gradient for array {k} of shape {g.shape}; step refused"
+                    f"gradient for array {k} of shape {g.shape} has an entry with "
+                    f"|g| >= {bound:.3e}, which overflows Adam's v; step refused"
                 )
+            raise NumericFailure(
+                f"non-finite gradient for array {k} of shape {g.shape}; step refused"
+            )
         for k, p in enumerate(params):
             if not (p.flags.c_contiguous and p.flags.writeable):
                 raise InvalidArgument(f"parameter array {k} is not writeable and C-contiguous")

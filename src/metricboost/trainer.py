@@ -40,9 +40,14 @@ from .optim import Optimizer
 log = logging.getLogger(__name__)
 
 DIVERSITY_KINDS = ("none", "activation", "adversarial")
-PARTITION_MODES = ("proportional", "preset", "explicit")
+PARTITION_MODES = ("proportional", "preset")
 
 METRICS_HEADER = "iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr"
+
+# init_solver stops once its loss moves by at most this relative amount
+# over this many iterations.
+_INIT_TOL = 1e-6
+_INIT_TOL_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,6 @@ class TrainConfig:
     reverse_target_path: bool = True
     max_pairs_per_batch: int = 0
     eval_interval: int = 0
-    eval_ks: tuple = (1,)
     eval_pairs: int = 1000
 
     def __post_init__(self):
@@ -118,7 +122,7 @@ class TrainConfig:
         return {"none": 0.0, "activation": 1e-2, "adversarial": 1e-3}[self.diversity]
 
     def resolve_partition(self):
-        """Explicit sizes override everything; then preset; then proportional."""
+        """`group_sizes` overrides the mode; then preset; then proportional."""
         if self.group_sizes:
             return GroupPartition(tuple(int(s) for s in self.group_sizes))
         if self.partition == "preset":
@@ -128,8 +132,6 @@ class TrainConfig:
                     f"no preset group sizes for d={self.embedding_dim} M={self.num_groups}"
                 )
             return part
-        if self.partition == "explicit":
-            raise InvalidArgument("partition=explicit needs group_sizes")
         return proportional_partition(self.embedding_dim, self.num_groups)
 
 
@@ -171,9 +173,10 @@ def sample_batch(fs, batch_classes, samples_per_class, rng, mine="pairs",
     indices = np.concatenate(picked)
     labels = np.repeat(classes.astype(np.int64), K)
 
+    # Row i belongs to drawn class i // K.
     n = P * K
     iu, ju = np.triu_indices(n, k=1)
-    same = labels[iu] == labels[ju]
+    same = iu // K == ju // K
     batch = SampledBatch(indices=indices, labels=labels)
 
     if mine == "pairs":
@@ -193,18 +196,11 @@ def sample_batch(fs, batch_classes, samples_per_class, rng, mine="pairs",
         )
     elif mine == "triplets":
         anchor, positive = iu[same], ju[same]
-        # Each class contributes exactly K positions, so every anchor has the
-        # same number of cross-class candidates.
-        pools = np.empty((P, n - K), dtype=np.intp)
-        pos_of_class = np.arange(n).reshape(P, K)
-        for a in range(P):
-            pools[a] = np.delete(np.arange(n), pos_of_class[a])
-        anchor_class = labels[anchor]
-        # Map labels back to their row in `classes` (draw order).
-        label_to_row = {int(c): r for r, c in enumerate(classes)}
-        rows = np.array([label_to_row[int(l)] for l in anchor_class], dtype=np.intp)
+        # A uniform draw over the n - K rows outside the anchor's class
+        # block: skip the block's K rows by shifting draws at or past it.
+        row = anchor // K
         draw = rng.integers(0, n - K, size=len(anchor))
-        negative = pools[rows, draw]
+        negative = draw + K * (draw >= row * K)
         batch.triplets = TripletBatch(anchor, positive, negative)
     else:
         raise InvalidArgument(f"unknown mining mode {mine!r}")
@@ -311,13 +307,14 @@ class InitResult:
 
 
 def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
-                max_iterations=5000, tol=1e-6, tol_window=100, bank=None,
-                sim_normalizer="d_j", reverse_target_path=True):
+                max_iterations=5000, bank=None, sim_normalizer="d_j",
+                reverse_target_path=True):
     """Minimize a diversity loss over W with SGD + momentum, features frozen.
 
-    Stops at max_iterations or when the loss changes by less than `tol`
-    (relatively) over `tol_window` iterations. Afterwards every column of W
-    should have squared norm within 1 +/- 1e-3; violations emit a warning.
+    Stops at max_iterations or when the loss changes by less than _INIT_TOL
+    (1e-6, relatively) over _INIT_TOL_WINDOW (100) iterations. Afterwards
+    every column of W should have squared norm within 1 +/- 1e-3;
+    violations emit a warning.
     """
     X = np.asarray(features, dtype=np.float64)
     if kind not in ("activation", "adversarial"):
@@ -342,9 +339,9 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
             initial_term = term
         final_loss = loss
         history.append(loss)
-        if it >= tol_window:
-            ref = history[it - tol_window]
-            if abs(history[it] - ref) <= tol * max(abs(ref), 1e-12):
+        if it >= _INIT_TOL_WINDOW:
+            ref = history[it - _INIT_TOL_WINDOW]
+            if abs(history[it] - ref) <= _INIT_TOL * max(abs(ref), 1e-12):
                 break
         opt.step(_trained_arrays(model.W, bank=train_bank),
                  _trained_arrays(grad_W, bank=bank_grads))
@@ -369,23 +366,26 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
     )
 
 
-def build_model(cfg, feature_dim, rng, bank_rng=None):
-    """Fresh model (and bank, when adversarial diversity is on) from a config.
-
-    The bank draws from its own stream (derived from the seed when not given)
-    so that enabling the adversarial regularizer does not shift the main
-    training draw sequence.
-    """
+def build_model(cfg, feature_dim, rng):
+    """Fresh model (and bank, when adversarial diversity is on) from a config."""
     part = cfg.resolve_partition()
     h = cfg.backbone_dim if (cfg.use_backbone and cfg.backbone_dim > 0) else feature_dim
     backbone_in = feature_dim if cfg.use_backbone else None
     model = init_model(rng, h, part, backbone_in_dim=backbone_in)
-    bank = None
-    if cfg.diversity == "adversarial":
-        if bank_rng is None:
-            bank_rng = make_child_rng(cfg.seed, 1)
-        bank = RegressorBank.create(bank_rng, part, hidden=cfg.regressor_hidden)
-    return model, bank
+    return model, _build_bank(cfg, part)
+
+
+def _build_bank(cfg, partition):
+    """The config's regressor bank: None unless diversity is adversarial.
+
+    The bank draws from its own stream derived from the seed, so that
+    enabling the adversarial regularizer does not shift the main training
+    draw sequence.
+    """
+    if cfg.diversity != "adversarial":
+        return None
+    return RegressorBank.create(make_child_rng(cfg.seed, 1), partition,
+                                hidden=cfg.regressor_hidden)
 
 
 @dataclass
@@ -413,13 +413,11 @@ def _open_metrics(path):
 
 
 def _eval_row(cfg, model, fs, iteration):
-    ks = tuple(sorted(set(cfg.eval_ks) | {1}))  # the CSV row always needs r@1
-    report = evaluate_model(
-        model, fs, ks=ks, weight_exponent=cfg.weight_exponent,
+    return evaluate_model(
+        model, fs, ks=(1,), weight_exponent=cfg.weight_exponent,
         renormalize_full=cfg.renormalize_full, n_eval_pairs=cfg.eval_pairs,
         pair_seed=cfg.seed * 1_000_003 + iteration,
     )
-    return report
 
 
 def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
@@ -433,23 +431,17 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
     spec = cfg.loss_spec()
     mine = "triplets" if spec.kind == "triplet" else "pairs"
     rng = make_rng(cfg.seed)
-    start_iter = 0
-    if resume is not None:
-        model = resume.model
-        bank = resume.bank
-        start_iter = resume.iteration
-        if cfg.diversity == "adversarial" and bank is None:
-            bank = RegressorBank.create(
-                make_child_rng(cfg.seed, 1), model.partition, hidden=cfg.regressor_hidden,
-            )
-        opt = resume.optimizer or Optimizer(
-            kind=cfg.optimizer, lr=cfg.lr, momentum=cfg.momentum,
-            beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps,
-        )
+    if resume is None:
+        model, bank = build_model(cfg, fs.feature_dim, rng)
+        opt, start_iter = None, 0
+    else:
+        model, bank = resume.model, resume.bank
+        opt, start_iter = resume.optimizer, resume.iteration
+        if bank is None:
+            bank = _build_bank(cfg, model.partition)
         if resume.rng_state is not None:
             rng.bit_generator.state = resume.rng_state
-    else:
-        model, bank = build_model(cfg, fs.feature_dim, rng)
+    if opt is None:
         opt = Optimizer(
             kind=cfg.optimizer, lr=cfg.lr, momentum=cfg.momentum,
             beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps,

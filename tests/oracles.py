@@ -7,18 +7,26 @@ reference for the Gram-matrix one: it builds a cosine gradient row per item
 and endpoint and scatters them with np.add.at; `enumerated_eval_pairs`,
 the earlier `make_eval_pairs` that lists all N(N-1)/2 pairs;
 `per_group_recall_at_1`, per-learner Recall@1 read from the general top-k
-ranking instead of the K = 1 argmax; and `whole_array_step`, the earlier
-optimizer update with whole-array expressions per parameter.
+ranking instead of the K = 1 argmax; `whole_array_step`, the earlier
+optimizer update with whole-array expressions per parameter; and
+`label_lookup_sample_batch`, the earlier batch sampler that mines by label
+comparison and per-class negative pools.
 """
 
 import math
 
 import numpy as np
 
-from metricboost.boosting import PairBatch, boost_backward_pair, boost_step_triplet
+from metricboost.boosting import (
+    PairBatch,
+    TripletBatch,
+    boost_backward_pair,
+    boost_step_triplet,
+)
 from metricboost.ensemble import cosine_sim_grad_batch
 from metricboost.evaluate import recall_at_k
 from metricboost.optim import MOMENTS
+from metricboost.trainer import SampledBatch
 
 
 def brute_force_recall(embeddings, labels, k):
@@ -175,3 +183,48 @@ def per_pair_gradient(model, X, batch, spec, signed=False, train_backbone=False)
     phi, pre = model.backbone.forward_with_pre(X)
     dpre = (dF @ model.W.T) * (pre > 0.0)
     return phi.T @ dF, dpre.T @ X, dpre.sum(axis=0), loss, n_used, n_skipped
+
+
+def label_lookup_sample_batch(fs, P, K, rng, mine="pairs", max_pairs=0):
+    """`trainer.sample_batch` as it was before it mined from the class-block
+    layout: same RNG calls, labels compared per pair, and each triplet
+    negative read from its anchor class's pool of other-class rows."""
+    class_indices = fs.class_indices()
+    classes = rng.choice(fs.n_classes, size=P, replace=False)
+    picked = []
+    for c in classes:
+        idxs = class_indices[int(c)]
+        take = rng.choice(idxs.size, size=K, replace=idxs.size < K)
+        picked.append(idxs[take])
+    indices = np.concatenate(picked)
+    labels = np.repeat(classes.astype(np.int64), K)
+    n = P * K
+    iu, ju = np.triu_indices(n, k=1)
+    same = labels[iu] == labels[ju]
+    batch = SampledBatch(indices=indices, labels=labels)
+    if mine == "pairs":
+        pos_i, pos_j = iu[same], ju[same]
+        neg_i, neg_j = iu[~same], ju[~same]
+        if max_pairs and len(pos_i) + len(neg_i) > max_pairs:
+            budget = max(0, max_pairs - len(pos_i))
+            if len(neg_i) > budget:
+                pick = rng.choice(len(neg_i), size=budget, replace=False)
+                pick.sort()
+                neg_i, neg_j = neg_i[pick], neg_j[pick]
+        batch.pairs = PairBatch(
+            np.concatenate([pos_i, neg_i]),
+            np.concatenate([pos_j, neg_j]),
+            np.concatenate([np.ones(len(pos_i), dtype=np.int64),
+                            np.zeros(len(neg_i), dtype=np.int64)]),
+        )
+    else:
+        anchor, positive = iu[same], ju[same]
+        pools = np.empty((P, n - K), dtype=np.intp)
+        pos_of_class = np.arange(n).reshape(P, K)
+        for a in range(P):
+            pools[a] = np.delete(np.arange(n), pos_of_class[a])
+        label_to_row = {int(c): r for r, c in enumerate(classes)}
+        rows = np.array([label_to_row[int(l)] for l in labels[anchor]], dtype=np.intp)
+        draw = rng.integers(0, n - K, size=len(anchor))
+        batch.triplets = TripletBatch(anchor, positive, pools[rows, draw])
+    return batch

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from metricboost.config import (
@@ -9,7 +11,9 @@ from metricboost.config import (
     parse_config_file,
 )
 from metricboost.cli import main
+from metricboost.data_io import SynthSpec
 from metricboost.errors import FormatError, InvalidArgument
+from metricboost.trainer import TrainConfig
 
 
 class TestParse:
@@ -65,6 +69,19 @@ class TestBuildTrainConfig:
         assert code == 1
         assert "unknown config key 'threads'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("eval_ks = 1 4", "unknown config key 'eval_ks'"),
+        ("partition = explicit", "unknown partition mode 'explicit'"),
+    ])
+    def test_deleted_settings_are_refused(self, tmp_path, capsys, line, message):
+        # eval_ks changed no output; partition = explicit did what group_sizes does.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"iterations = 5\n{line}\n")
+        code = main(["train", "--data", str(tmp_path / "absent.bin"), "--config", str(cfg),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_bad_bool(self):
         with pytest.raises(InvalidArgument, match="boolean"):
             build_train_config({"use_boosting": "maybe"})
@@ -76,6 +93,13 @@ class TestBuildTrainConfig:
     def test_init_extras_configurable(self):
         _, extras = build_train_config({"init_lr": "0.02", "init_iterations": "99"})
         assert extras == {"init_lr": 0.02, "init_iterations": 99}
+
+
+class TestSchema:
+    def test_keys_are_the_config_fields(self):
+        assert set(TRAIN_KEYS) == {f.name for f in fields(TrainConfig)} | {
+            "init_lr", "init_iterations"}
+        assert set(SYNTH_KEYS) == {f.name for f in fields(SynthSpec)}
 
 
 class TestBuildSynthSpec:

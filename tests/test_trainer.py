@@ -21,6 +21,8 @@ from metricboost.trainer import (
     train_step,
 )
 
+from oracles import label_lookup_sample_batch
+
 DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -110,6 +112,24 @@ class TestSampleBatch:
         fs = _toy_set(classes=3, per_class=3)
         with pytest.raises(InvalidArgument):
             sample_batch(fs, 5, 2, make_rng(0))
+
+    @pytest.mark.parametrize("P,K", [(2, 2), (3, 3), (4, 4), (8, 8), (5, 2), (2, 7)])
+    def test_matches_label_lookup_sampler(self, P, K):
+        # Classes of 5 rows: K > 5 draws with replacement, K <= 5 without.
+        fs = _toy_set(classes=10, per_class=5)
+
+        def arrays(batch):
+            mined = batch.pairs if batch.pairs is not None else batch.triplets
+            return [batch.indices, batch.labels, *vars(mined).values()]
+
+        for seed in range(200):
+            for mine in ("pairs", "triplets"):
+                for max_pairs in (0, 10, 50):
+                    got = sample_batch(fs, P, K, make_rng(seed), mine=mine, max_pairs=max_pairs)
+                    want = label_lookup_sample_batch(fs, P, K, make_rng(seed), mine=mine,
+                                                     max_pairs=max_pairs)
+                    for a, b in zip(arrays(got), arrays(want), strict=True):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestTrainStep:
@@ -425,7 +445,7 @@ class TestSplitIsBitIdentical:
     def test_run_metrics_csv(self, across_workers, tmp_path):
         fs, cfg = _paper_scale()
         cfg = replace(cfg, iterations=4, eval_interval=2, diversity="adversarial",
-                      regressor_hidden=64, eval_ks=(1, 4))
+                      regressor_hidden=64)
 
         def csv():
             path = tmp_path / "m.csv"
