@@ -115,30 +115,19 @@ def boost_forward_pair(schedule, scores):
     return acc
 
 
-def _pair_weights(spec, schedule, acc, y, signed):
-    """w^1 = 1; w^{m+1} from the loss derivative at s^m."""
-    M = schedule.num_learners
-    w = np.empty_like(acc)
-    w[..., 0] = 1.0
-    for m in range(1, M):
-        w[..., m] = boosting_weight_vec(spec, s=acc[..., m - 1], y=y, signed=signed)
-    return w
-
-
 def boost_backward_pair(spec, schedule, scores, y, signed=False):
     """Full forward + backward record for a pair batch.
 
     scores: (M,) or (n, M) per-learner cosine scores; y: scalar or (n,).
+    Only the accumulation loops over learners; losses and weights are one
+    call each over the learner axis.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(y)
+    y = np.asarray(y)[..., None]
     acc = boost_forward_pair(schedule, scores)
-    w = _pair_weights(spec, schedule, acc, y, signed)
-    M = schedule.num_learners
-    losses = np.empty_like(scores)
-    dloss = np.empty_like(scores)
-    for m in range(M):
-        losses[..., m], dloss[..., m] = pair_loss_vec(spec, scores[..., m], y)
+    w = np.ones_like(acc)
+    w[..., 1:] = boosting_weight_vec(spec, s=acc[..., :-1], y=y, signed=signed)
+    losses, dloss = pair_loss_vec(spec, scores, y)
     return BoostTrace(
         scores=scores, acc=acc, weights=w, losses=losses, weighted_dloss=w * dloss
     )
@@ -152,20 +141,9 @@ def boost_step_triplet(spec, schedule, scores_pos, scores_neg):
     scores_neg = np.asarray(scores_neg, dtype=np.float64)
     acc_pos = boost_forward_pair(schedule, scores_pos)
     acc_neg = boost_forward_pair(schedule, scores_neg)
-    M = schedule.num_learners
-    w = np.empty_like(scores_pos)
-    w[..., 0] = 1.0
-    for m in range(1, M):
-        w[..., m] = boosting_weight_vec(
-            spec, s_pos=acc_pos[..., m - 1], s_neg=acc_neg[..., m - 1]
-        )
-    losses = np.empty_like(scores_pos)
-    dpos = np.empty_like(scores_pos)
-    dneg = np.empty_like(scores_pos)
-    for m in range(M):
-        losses[..., m], dpos[..., m], dneg[..., m] = triplet_loss_vec(
-            spec, scores_pos[..., m], scores_neg[..., m]
-        )
+    w = np.ones_like(acc_pos)
+    w[..., 1:] = boosting_weight_vec(spec, s_pos=acc_pos[..., :-1], s_neg=acc_neg[..., :-1])
+    losses, dpos, dneg = triplet_loss_vec(spec, scores_pos, scores_neg)
     return TripletTrace(
         scores_pos=scores_pos,
         scores_neg=scores_neg,
@@ -262,13 +240,16 @@ def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_b
         coeff = np.concatenate([trace.weighted_dpos, trace.weighted_dneg])
     loss = float(np.mean(np.sum(trace.weights * trace.losses, axis=-1)))
 
-    cell = rows * n + cols  # bincount sums repeated items
+    # Cell m*n^2 + row*n + col of the (M, n, n) stack; bincount sums repeats.
+    M = len(slices)
+    cell = (np.arange(M)[:, None] * (n * n) + (rows * n + cols)).ravel()
+    C = np.bincount(cell, weights=(coeff / n_used).T.ravel(),
+                    minlength=M * n * n).reshape(M, n, n)
+    S = C + C.transpose(0, 2, 1)
     dF = np.empty_like(F)
     for m, sl in enumerate(slices):
-        C = np.bincount(cell, weights=coeff[:, m] / n_used, minlength=n * n).reshape(n, n)
-        S = C + C.T
-        radial = np.einsum("ij,ij->i", S, G[m])
-        dF[:, sl] = (S @ U[:, sl] - radial[:, None] * U[:, sl]) / norms[:, m, None]
+        radial = np.einsum("ij,ij->i", S[m], G[m])
+        dF[:, sl] = (S[m] @ U[:, sl] - radial[:, None] * U[:, sl]) / norms[:, m, None]
 
     grad_W, grad_bw, grad_bb = _finish_gradient(model, X, dF, phi, pre)
     return GradResult(grad_W, grad_bw, grad_bb, loss, n_used, n_skipped)

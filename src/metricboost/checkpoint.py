@@ -11,7 +11,8 @@ Model block (little-endian):
 
 A training-state extension may follow (files ending after the model block are
 valid model-only checkpoints); bytes after the last field, non-finite f64
-values and a partition with no group or an empty group are rejected:
+values and a partition with no group or an empty group are rejected. Saving
+refuses non-finite values too (NumericFailure), so every file written loads:
 
     u8 has_train_state
     u64 iteration
@@ -41,7 +42,7 @@ import numpy as np
 
 from .diversity import Regressor, RegressorBank
 from .ensemble import Backbone, EnsembleModel, GroupPartition
-from .errors import FormatError, InvalidArgument
+from .errors import FormatError, InvalidArgument, NumericFailure
 from .optim import Optimizer
 
 MODEL_MAGIC = b"BIERMDL1"
@@ -117,20 +118,31 @@ class _Reader:
             )
 
 
+def _write_f64(fh, arr, what):
+    """Write `arr` as little-endian f64, refusing the non-finite values that
+    loading would reject."""
+    data = np.ascontiguousarray(arr, dtype="<f8")
+    finite = np.isfinite(data)
+    if not finite.all():
+        bad = int(np.argmin(finite.reshape(-1)))  # the first False
+        raise NumericFailure(f"non-finite {what} at entry {bad}; checkpoint not written")
+    fh.write(data)
+
+
 def _write_model(fh, model):
     h, d = model.W.shape
     sizes = model.partition.sizes
     fh.write(MODEL_MAGIC)
     fh.write(struct.pack("<III", h, d, len(sizes)))
     fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-    fh.write(model.W.astype("<f8").tobytes())
+    _write_f64(fh, model.W, "W")
     if model.backbone is None:
         fh.write(struct.pack("<B", 0))
     else:
         fh.write(struct.pack("<B", 1))
         fh.write(struct.pack("<I", model.backbone.in_dim))
-        fh.write(model.backbone.weight.astype("<f8").tobytes())
-        fh.write(model.backbone.bias.astype("<f8").tobytes())
+        _write_f64(fh, model.backbone.weight, "backbone weight")
+        _write_f64(fh, model.backbone.bias, "backbone bias")
 
 
 def _read_model(rd):
@@ -163,8 +175,8 @@ def _write_optimizer(fh, opt):
     blob = json.dumps({**header, "moments": list(moments)}).encode("utf-8")
     fh.write(struct.pack("<I", len(blob)))
     fh.write(blob)
-    for arr in moments.values():
-        fh.write(arr.astype("<f8", copy=False))
+    for key, arr in moments.items():
+        _write_f64(fh, arr, f"optimizer {key}")
 
 
 def _read_optimizer(rd):
@@ -187,10 +199,8 @@ def _write_bank(fh, bank):
     for (i, j) in keys:
         reg = bank[(i, j)]
         fh.write(struct.pack("<IIIII", i, j, reg.hidden, reg.d_in, reg.d_out))
-        fh.write(reg.W1.astype("<f8").tobytes())
-        fh.write(reg.b1.astype("<f8").tobytes())
-        fh.write(reg.W2.astype("<f8").tobytes())
-        fh.write(reg.b2.astype("<f8").tobytes())
+        for name in ("W1", "b1", "W2", "b2"):
+            _write_f64(fh, getattr(reg, name), f"bank {name}")
 
 
 def _read_bank(rd):

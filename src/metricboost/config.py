@@ -25,12 +25,12 @@ TRAIN_KEYS = {
     "diversity": ("str", "none | activation | adversarial"),
     "lambda_div": ("opt_float", "diversity weight (default 1e-2 act / 1e-3 adv)"),
     "lambda_w": ("float", "unit-norm weight penalty strength"),
-    "lr": ("float", "optimizer learning rate"),
+    "lr": ("float", "optimizer learning rate (> 0)"),
     "optimizer": ("str", "adam | sgd_momentum"),
-    "momentum": ("float", "sgd momentum"),
-    "adam_beta1": ("float", "adam first-moment decay"),
-    "adam_beta2": ("float", "adam second-moment decay"),
-    "adam_eps": ("float", "adam epsilon"),
+    "momentum": ("float", "sgd momentum, also the init solver's, in [0, 1)"),
+    "adam_beta1": ("float", "adam first-moment decay, in [0, 1)"),
+    "adam_beta2": ("float", "adam second-moment decay, in [0, 1)"),
+    "adam_eps": ("float", "adam epsilon (> 0)"),
     "iterations": ("int", "training iterations"),
     "batch_classes": ("int", "classes per batch (P)"),
     "samples_per_class": ("int", "samples per class per batch (K)"),

@@ -129,15 +129,12 @@ def synth_gaussian(spec):
 
 
 def _remap_subset(fs, mask):
+    """The rows under `mask`, with labels renumbered in order of first appearance."""
     labels = fs.labels[mask]
-    remap = {}
-    dense = np.empty(labels.shape, dtype=np.uint32)
-    for k, lab in enumerate(labels):
-        lab = int(lab)
-        if lab not in remap:
-            remap[lab] = len(remap)
-        dense[k] = remap[lab]
-    return FeatureSet(labels=dense, features=fs.features[mask], n_classes=len(remap))
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.uint32)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return FeatureSet(labels=rank[inverse], features=fs.features[mask], n_classes=len(first))
 
 
 def split(fs, fraction, disjoint_classes=True, seed=0):
@@ -158,8 +155,7 @@ def split(fs, fraction, disjoint_classes=True, seed=0):
                 f"disjoint split needs 1 <= train classes < {C}, got {n_train}"
             )
         perm = rng.permutation(C)
-        train_classes = set(int(c) for c in perm[:n_train])
-        mask = np.array([int(l) in train_classes for l in fs.labels])
+        mask = np.isin(fs.labels, perm[:n_train])
     else:
         mask = np.zeros(fs.n_samples, dtype=bool)
         for idxs in fs.class_indices():

@@ -214,7 +214,8 @@ class EnsembleModel:
                 bad = int(np.flatnonzero(norms == 0.0)[0])
                 raise DegenerateInput(f"group {m} produced a zero embedding for row {bad}")
             scale = self.schedule.alpha[m] ** weight_exponent
-            out[:, sl] = scale * full[:, sl] / norms[:, None]
+            np.multiply(scale, full[:, sl], out=out[:, sl])
+            out[:, sl] /= norms[:, None]
         if renormalize_full:
             out /= np.linalg.norm(out, axis=1, keepdims=True)
         return out

@@ -37,6 +37,14 @@ class Optimizer:
             raise InvalidArgument(f"unknown optimizer kind {kind!r}")
         if lr <= 0:
             raise InvalidArgument("lr must be > 0")
+        # A decay of 1 or more zeroes Adam's bias correction 1 - beta^t, or
+        # grows the moments without bound; eps = 0 divides 0 by 0 wherever a
+        # gradient entry has been 0 on every step so far.
+        for name, value in (("momentum", momentum), ("beta1", beta1), ("beta2", beta2)):
+            if not 0.0 <= value < 1.0:
+                raise InvalidArgument(f"{name} must be in [0, 1), got {value!r}")
+        if not eps > 0:
+            raise InvalidArgument(f"eps must be > 0, got {eps!r}")
         self.kind = kind
         self.lr = float(lr)
         self.momentum = float(momentum)

@@ -8,9 +8,11 @@ and endpoint and scatters them with np.add.at; `enumerated_eval_pairs`,
 the earlier `make_eval_pairs` that lists all N(N-1)/2 pairs;
 `per_group_recall_at_1`, per-learner Recall@1 read from the general top-k
 ranking instead of the K = 1 argmax; `whole_array_step`, the earlier
-optimizer update with whole-array expressions per parameter; and
+optimizer update with whole-array expressions per parameter;
 `label_lookup_sample_batch`, the earlier batch sampler that mines by label
-comparison and per-class negative pools.
+comparison and per-class negative pools; and `per_learner_pair_trace` /
+`per_learner_triplet_trace`, the earlier boosting traces with one loss and
+one weight call per learner.
 """
 
 import math
@@ -21,10 +23,12 @@ from metricboost.boosting import (
     PairBatch,
     TripletBatch,
     boost_backward_pair,
+    boost_forward_pair,
     boost_step_triplet,
 )
 from metricboost.ensemble import cosine_sim_grad_batch
 from metricboost.evaluate import recall_at_k
+from metricboost.losses import boosting_weight_vec, pair_loss_vec, triplet_loss_vec
 from metricboost.optim import MOMENTS
 from metricboost.trainer import SampledBatch
 
@@ -183,6 +187,47 @@ def per_pair_gradient(model, X, batch, spec, signed=False, train_backbone=False)
     phi, pre = model.backbone.forward_with_pre(X)
     dpre = (dF @ model.W.T) * (pre > 0.0)
     return phi.T @ dF, dpre.T @ X, dpre.sum(axis=0), loss, n_used, n_skipped
+
+
+def per_learner_pair_trace(spec, schedule, scores, y, signed=False):
+    """`boost_backward_pair` with a loss call per learner and a weight call
+    per learner after the first. Returns (acc, weights, losses,
+    weighted_dloss)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(y)
+    acc = boost_forward_pair(schedule, scores)
+    M = schedule.num_learners
+    w = np.empty_like(acc)
+    w[..., 0] = 1.0
+    for m in range(1, M):
+        w[..., m] = boosting_weight_vec(spec, s=acc[..., m - 1], y=y, signed=signed)
+    losses = np.empty_like(scores)
+    dloss = np.empty_like(scores)
+    for m in range(M):
+        losses[..., m], dloss[..., m] = pair_loss_vec(spec, scores[..., m], y)
+    return acc, w, losses, w * dloss
+
+
+def per_learner_triplet_trace(spec, schedule, scores_pos, scores_neg):
+    """`boost_step_triplet` with a loss and a weight call per learner.
+    Returns (acc_pos, acc_neg, weights, losses, weighted_dpos, weighted_dneg)."""
+    scores_pos = np.asarray(scores_pos, dtype=np.float64)
+    scores_neg = np.asarray(scores_neg, dtype=np.float64)
+    acc_pos = boost_forward_pair(schedule, scores_pos)
+    acc_neg = boost_forward_pair(schedule, scores_neg)
+    M = schedule.num_learners
+    w = np.empty_like(scores_pos)
+    w[..., 0] = 1.0
+    for m in range(1, M):
+        w[..., m] = boosting_weight_vec(spec, s_pos=acc_pos[..., m - 1], s_neg=acc_neg[..., m - 1])
+    losses = np.empty_like(scores_pos)
+    dpos = np.empty_like(scores_pos)
+    dneg = np.empty_like(scores_pos)
+    for m in range(M):
+        losses[..., m], dpos[..., m], dneg[..., m] = triplet_loss_vec(
+            spec, scores_pos[..., m], scores_neg[..., m]
+        )
+    return acc_pos, acc_neg, w, losses, w * dpos, w * dneg
 
 
 def label_lookup_sample_batch(fs, P, K, rng, mine="pairs", max_pairs=0):

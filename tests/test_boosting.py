@@ -26,7 +26,7 @@ from metricboost.errors import InvalidArgument, NumericFailure
 from metricboost.linalg import make_rng
 from metricboost.losses import LossSpec, pair_loss
 from metricboost.trainer import sample_batch
-from oracles import per_pair_gradient
+from oracles import per_learner_pair_trace, per_learner_triplet_trace, per_pair_gradient
 
 
 class TestBatches:
@@ -151,6 +151,61 @@ class TestTripletStep:
     def test_needs_triplet_spec(self):
         with pytest.raises(InvalidArgument):
             boost_step_triplet(LossSpec(), make_schedule(2), [0.1, 0.1], [0.2, 0.2])
+
+
+def _scores(rng, n, M):
+    """(n, M) cosine-like scores, with exact margins and ties mixed in."""
+    s = rng.uniform(-1.0, 1.0, size=(n, M))
+    s[rng.random((n, M)) < 0.1] = 0.5
+    s[rng.random((n, M)) < 0.05] = 1.0
+    return s
+
+
+def _same_bytes(got, want):
+    return len(got) == len(want) and all(
+        g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestTraceMatchesPerLearnerOracle:
+    """The whole-array traces against one loss and weight call per learner."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["binomial_deviance", "contrastive"])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_pairs(self, M, kind, signed):
+        rng = make_rng(100 + M)
+        spec, sched = LossSpec(kind=kind), make_schedule(M)
+        for n in (1, 7, 64):
+            scores, y = _scores(rng, n, M), rng.integers(0, 2, size=n)
+            t = boost_backward_pair(spec, sched, scores, y, signed=signed)
+            want = per_learner_pair_trace(spec, sched, scores, y, signed=signed)
+            assert _same_bytes((t.acc, t.weights, t.losses, t.weighted_dloss), want)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_triplets(self, M):
+        rng = make_rng(200 + M)
+        spec, sched = LossSpec(kind="triplet"), make_schedule(M)
+        for n in (1, 7, 64):
+            sp, sn = _scores(rng, n, M), _scores(rng, n, M)
+            t = boost_step_triplet(spec, sched, sp, sn)
+            want = per_learner_triplet_trace(spec, sched, sp, sn)
+            got = (t.acc_pos, t.acc_neg, t.weights, t.losses, t.weighted_dpos, t.weighted_dneg)
+            assert _same_bytes(got, want)
+
+    def test_one_loss_and_one_weight_call(self, monkeypatch):
+        import metricboost.boosting as boosting
+        calls = []
+        for name in ("pair_loss_vec", "triplet_loss_vec", "boosting_weight_vec"):
+            fn = getattr(boosting, name)
+            monkeypatch.setattr(boosting, name,
+                                lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))
+        rng = make_rng(3)
+        boost_backward_pair(LossSpec(), make_schedule(4), _scores(rng, 9, 4),
+                            rng.integers(0, 2, size=9))
+        boost_step_triplet(LossSpec(kind="triplet"), make_schedule(4),
+                           _scores(rng, 9, 4), _scores(rng, 9, 4))
+        assert calls == ["boosting_weight_vec", "pair_loss_vec",
+                         "boosting_weight_vec", "triplet_loss_vec"]
 
 
 def _random_model(rng, h=6, sizes=(2, 2, 2), backbone=False):

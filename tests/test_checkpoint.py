@@ -10,7 +10,7 @@ from metricboost import checkpoint
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.diversity import RegressorBank
 from metricboost.ensemble import GroupPartition, init_model
-from metricboost.errors import FormatError
+from metricboost.errors import FormatError, NumericFailure
 from metricboost.linalg import make_rng
 from metricboost.optim import Optimizer
 
@@ -237,6 +237,24 @@ class TestAtomicWrite:
             save_checkpoint(path, model, iteration=2, optimizer=opt, bank=bank)
         assert path.read_bytes() == before
         assert load_checkpoint(path).iteration == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["t.ckpt"]
+
+    @pytest.mark.parametrize("what", ["W", "backbone weight", "backbone bias",
+                                      "optimizer v", "bank b2"])
+    def test_non_finite_array_refused_and_previous_kept(self, tmp_path, what):
+        model, bank, opt = self._state()
+        model.backbone = _model(3, backbone=True).backbone
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, model, iteration=1, optimizer=opt, bank=bank)
+        before = path.read_bytes()
+        target = {"W": model.W, "backbone weight": model.backbone.weight,
+                  "backbone bias": model.backbone.bias, "optimizer v": opt.buffers["flat"]["v"],
+                  "bank b2": bank[(0, 1)].b2}[what]
+        target.flat[1] = np.inf
+        with pytest.raises(NumericFailure,
+                           match=f"^non-finite {what} at entry 1; checkpoint not written$"):
+            save_checkpoint(path, model, iteration=2, optimizer=opt, bank=bank)
+        assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["t.ckpt"]
 
     def test_failed_first_save_leaves_no_file(self, tmp_path, monkeypatch):

@@ -167,6 +167,54 @@ class TestTrain:
         assert code == 3
         assert "iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting,message", [
+        ("adam_eps=0", "eps must be > 0, got 0.0"),
+        ("adam_beta1=1", "beta1 must be in [0, 1), got 1.0"),
+        ("adam_beta1=1.5", "beta1 must be in [0, 1), got 1.5"),
+        ("adam_beta2=1", "beta2 must be in [0, 1), got 1.0"),
+        ("momentum=1", "momentum must be in [0, 1), got 1.0"),
+    ])
+    def test_optimizer_setting_outside_its_range_exits_1(self, tmp_path, train_cfg,
+                                                         data_file, capsys, setting, message):
+        ckpt = tmp_path / "o.ckpt"
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(ckpt), "--set", setting, "--set", "use_backbone=true",
+                     "--set", "iterations=1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ckpt.exists()
+
+    def test_resume_from_checkpoint_with_bad_decay_exits_2(self, tmp_path, train_cfg,
+                                                           data_file, capsys):
+        half = tmp_path / "half.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(half), "--set", "iterations=2"]) == 0
+        data = half.read_bytes()
+        assert data.count(b'"beta1": 0.9,') == 1
+        half.write_bytes(data.replace(b'"beta1": 0.9,', b'"beta1": 1.0,'))
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(half)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {half}: malformed optimizer state: beta1 must be in [0, 1), got 1.0\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_weights_are_not_saved(self, tmp_path, train_cfg, data_file, capsys):
+        ckpt = tmp_path / "big.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(ckpt), "--set", "iterations=1"]) == 0
+        before = ckpt.read_bytes()
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(ckpt), "--set", "lr=1e308", "--set", "iterations=1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite W at entry ")
+        assert err.endswith("; checkpoint not written\n")
+        assert ckpt.read_bytes() == before  # the earlier checkpoint is kept
+        assert not (tmp_path / "big.ckpt.tmp").exists()
+
 
 class TestEval:
     def test_eval_prints_table_and_csv(self, tmp_path, train_cfg, data_file, capsys):

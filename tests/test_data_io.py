@@ -165,6 +165,21 @@ class TestSplit:
         np.testing.assert_array_equal(a_train.features, b_train.features)
         np.testing.assert_array_equal(a_test.labels, b_test.labels)
 
+    @pytest.mark.parametrize("disjoint", [True, False])
+    def test_labels_renumbered_in_order_of_first_appearance(self, disjoint):
+        rng = np.random.default_rng(9)
+        for seed in range(50):
+            labels = rng.permutation(np.repeat(np.arange(7), 4)).astype(np.uint32)
+            fs = FeatureSet(labels=labels, features=np.arange(28.0)[:, None], n_classes=7)
+            for part in split(fs, 0.5, disjoint_classes=disjoint, seed=seed):
+                original = labels[part.features[:, 0].astype(int)]
+                first_seen = {}
+                for lab in original:
+                    first_seen.setdefault(int(lab), len(first_seen))
+                assert part.labels.dtype == np.uint32
+                assert part.labels.tolist() == [first_seen[int(lab)] for lab in original]
+                assert part.n_classes == len(first_seen)
+
     def test_too_few_classes(self):
         fs = _random_set(n_classes=2, per_class=3)
         with pytest.raises(InvalidArgument):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,28 @@ class TestStep:
             Optimizer(kind="rmsprop")
         with pytest.raises(InvalidArgument):
             Optimizer(lr=0.0)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
+    @pytest.mark.parametrize("setting,message", [
+        ({"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
+        ({"beta1": 1.5}, "beta1 must be in [0, 1), got 1.5"),
+        ({"beta1": -0.1}, "beta1 must be in [0, 1), got -0.1"),
+        ({"beta2": 1.0}, "beta2 must be in [0, 1), got 1.0"),
+        ({"momentum": 1.0}, "momentum must be in [0, 1), got 1.0"),
+        ({"beta2": float("nan")}, "beta2 must be in [0, 1), got nan"),
+        ({"eps": 0.0}, "eps must be > 0, got 0.0"),
+        ({"eps": -1e-8}, "eps must be > 0, got -1e-08"),
+    ])
+    def test_decays_and_eps_outside_their_range_refused(self, kind, setting, message):
+        with pytest.raises(InvalidArgument) as exc:
+            Optimizer(kind=kind, **setting)
+        assert str(exc.value) == message
+        state = Optimizer(kind=kind).state_dict()
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            Optimizer.from_state_dict({**state, **setting})
+
+    def test_range_ends_accepted(self):
+        Optimizer(momentum=0.0, beta1=0.0, beta2=0.0, eps=5e-324)
 
 
 def _same_bytes(a, b):
