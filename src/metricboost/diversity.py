@@ -54,33 +54,43 @@ class ActivationResult:
     grad_W: np.ndarray
 
 
-def activation_loss(model, features, lambda_w):
-    """Activation loss and its analytic W gradient over a feature batch."""
+def _activation_forward(model, features):
+    """The activation loss's forward: (phi, F, S, Q, T, sup_term).
+
+    phi is the backbone output, F = phi @ W, S the elementwise squares of F,
+    Q[n, m] = ||f_m(x_n)||^2 and T its row sums. `activation_loss` reuses S's
+    buffer for dF; a caller that needs only `sup_term` skips the gradient.
+    """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InvalidArgument("activation loss needs a nonempty 2-D batch")
     n = X.shape[0]
     phi = model.embed_features(X)
     F = matmul(phi, model.W)
-    part = model.partition
-    M = part.num_groups
+    S = np.square(F)
 
-    # Q[n, m] = ||f_m(x_n)||^2;  sum_{i<j} Q_i Q_j = (T^2 - sum Q^2) / 2
-    Q = np.empty((n, M))
-    for m, sl in enumerate(part.slices()):
-        Q[:, m] = np.sum(F[:, sl] ** 2, axis=1)
+    # sum_{i<j} Q_i Q_j = (T^2 - sum Q^2) / 2
+    Q = np.empty((n, model.partition.num_groups))
+    for m, sl in enumerate(model.partition.slices()):
+        Q[:, m] = np.sum(S[:, sl], axis=1)
     T = Q.sum(axis=1)
     sup_per_sample = 0.5 * (T * T - np.sum(Q * Q, axis=1))
-    sup_term = float(sup_per_sample.mean())
+    return phi, F, S, Q, T, float(sup_per_sample.mean())
 
-    dF = np.empty_like(F)
-    for m, sl in enumerate(part.slices()):
-        dF[:, sl] = (2.0 / n) * F[:, sl] * (T - Q[:, m])[:, None]
-    grad_sup = matmul(phi.T, dF)
+
+def activation_loss(model, features, lambda_w):
+    """Activation loss and its analytic W gradient over a feature batch."""
+    phi, F, dF, Q, T, sup_term = _activation_forward(model, features)
+    np.multiply(2.0 / F.shape[0], F, out=dF)
+    for m, sl in enumerate(model.partition.slices()):
+        dF[:, sl] *= (T - Q[:, m])[:, None]
+    grad_W = matmul(phi.T, dF)
 
     weight_term, grad_pen = _column_penalty(model.W)
+    grad_pen *= lambda_w
+    grad_W += grad_pen
     loss = sup_term + lambda_w * weight_term
-    return ActivationResult(loss, sup_term, weight_term, grad_sup + lambda_w * grad_pen)
+    return ActivationResult(loss, sup_term, weight_term, grad_W)
 
 
 @dataclass

@@ -16,10 +16,13 @@ it measured slower); otherwise it is the size of the CPU affinity mask
 one worker every part runs on the caller and no thread is started. A part
 must only call numpy and write to memory no other part touches; `matmul`
 and the Recall@K block sweep are the two users. `matmul(A, B)` splits A's
-rows into contiguous parts and writes each into one preallocated output.
-It relies on the BLAS computing each output row of a product the same way
-whichever rows it is given with, so the result equals `A @ B` bit for bit.
-A part gets at least `_PART_MACS` multiply-adds; smaller products run whole.
+rows into at most one contiguous part per worker (the BLAS packs the whole
+of B again for every part, so more parts cost more) and writes each into
+one preallocated output. It relies on the BLAS computing each output row of
+a product the same way whichever rows it is given with, so the result
+equals `A @ B` bit for bit; products whose width is not a multiple of
+`_PART_COLS` break that premise and run whole. A part gets at least
+`_PART_MACS` multiply-adds; smaller products run whole.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -36,12 +39,18 @@ from .errors import InvalidArgument
 # a training loop, waking the pool thread costs more than it saves up to
 # 64 x 512 @ 512 x 512 (16.8M; training steps 8-15% slower when split),
 # while the 200- to 2000-row products of init and eval gain. A product has
-# as many parts as this allows, not one per worker, so a pool thread that
-# starts late leaves more parts to the caller. Parts of at least 1M also
-# stay clear of OpenBLAS's small-matrix kernels, which round differently
-# from the whole product.
+# at most one part per worker: OpenBLAS packs all of B again for each part,
+# and the 512 x 1000 @ 1000 x 512 gradient product of init took 9.6-10.8 ms
+# in 15 parts against 7.8-8.8 ms in 2 (one BLAS thread, 2 vCPUs). A pool
+# thread that starts late loses nothing: the caller claims its part too.
+# Parts of at least 1M also stay clear of OpenBLAS's small-matrix kernels,
+# which round differently from the whole product.
 _PART_MACS = 1 << 24
 _PART_ROWS = 8  # fewest rows of a part: numpy hands one-row products to gemv
+# Only products whose width is a multiple of this are split. OpenBLAS 0.3.31
+# on an AVX-512 core computes a row of a product more than 192 columns wide
+# differently after a row split unless the width is a multiple of 8.
+_PART_COLS = 8
 # Most threads a split uses, the caller included. Only 2 vCPUs were
 # measured; each thread of the Recall@K sweep holds a 256 x N score buffer.
 _MAX_WORKERS = 2
@@ -178,11 +187,11 @@ def run_parts(fn, count):
 
 
 def matmul(A, B):
-    """A @ B for 2-D A and B; large products are split by rows over the workers."""
+    """A @ B for 2-D A and B; large products are split by rows, one part per worker."""
     n, k = A.shape
     m = B.shape[1]
-    parts = min(n // _PART_ROWS, n * k * m // _PART_MACS)
-    if parts < 2 or _WORKERS < 2:
+    parts = min(_WORKERS, n // _PART_ROWS, n * k * m // _PART_MACS)
+    if parts < 2 or m % _PART_COLS:
         return A @ B
     out = np.empty((n, m), dtype=np.result_type(A, B))
     bounds = [n * i // parts for i in range(parts + 1)]

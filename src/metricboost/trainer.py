@@ -22,7 +22,7 @@ from .boosting import (
     accumulate_plain_gradient,
     accumulate_W_gradient,
 )
-from .diversity import RegressorBank, activation_loss, adversarial_loss
+from .diversity import RegressorBank, _activation_forward, activation_loss, adversarial_loss
 from .ensemble import (
     Backbone,
     EnsembleModel,
@@ -314,7 +314,9 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
     Stops at max_iterations or when the loss changes by less than _INIT_TOL
     (1e-6, relatively) over _INIT_TOL_WINDOW (100) iterations. Afterwards
     every column of W should have squared norm within 1 +/- 1e-3;
-    violations emit a warning.
+    violations emit a warning. The final diversity term is the last
+    iteration's after a tolerance stop; otherwise it is read after the last
+    step, from one forward for the activation kind.
     """
     X = np.asarray(features, dtype=np.float64)
     if kind not in ("activation", "adversarial"):
@@ -327,8 +329,6 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
     train_bank = bank if kind == "adversarial" else None
     history = []
     initial_term = None
-    final_loss = float("nan")
-    it = 0
     for it in range(int(max_iterations)):
         loss, term, grad_W, bank_grads = _diversity(
             kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path,
@@ -337,18 +337,20 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
             raise NumericFailure(f"init solver diverged at iteration {it}: loss={loss}")
         if initial_term is None:
             initial_term = term
-        final_loss = loss
         history.append(loss)
         if it >= _INIT_TOL_WINDOW:
             ref = history[it - _INIT_TOL_WINDOW]
             if abs(history[it] - ref) <= _INIT_TOL * max(abs(ref), 1e-12):
-                break
+                break  # nothing has moved since `term` was computed
         opt.step(_trained_arrays(model.W, bank=train_bank),
                  _trained_arrays(grad_W, bank=bank_grads))
-
-    final_term = _diversity(
-        kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path,
-    )[1]
+    else:  # the last step moved W: the term needs one more forward
+        if kind == "activation":
+            term = _activation_forward(model, X)[-1]
+        else:
+            term = _diversity(
+                kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path,
+            )[1]
 
     col_sq = np.sum(model.W * model.W, axis=0)
     in_band = bool(np.all(np.abs(col_sq - 1.0) <= 1e-3))
@@ -360,8 +362,8 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
             f"consider a larger lambda_w or more iterations"
         )
     return InitResult(
-        model=model, bank=bank, final_loss=final_loss,
-        initial_div_term=float(initial_term), final_div_term=float(final_term),
+        model=model, bank=bank, final_loss=loss,
+        initial_div_term=float(initial_term), final_div_term=float(term),
         iterations_run=it + 1, norms_in_band=in_band,
     )
 

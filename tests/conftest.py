@@ -30,10 +30,11 @@ def set_workers(monkeypatch):
 def across_workers(monkeypatch, set_workers):
     """run(fn) -> [fn() with linalg's worker count at 1, 2 and 3].
 
-    Three workers share parts unevenly; one runs the serial path. Products
-    split from 2 x 4.2M multiply-adds instead of 2 x 16.8M, so that batches
-    of 64 rows at h = d = 512 are split too; parts that size stay above
-    OpenBLAS's small-matrix kernels.
+    One worker runs the serial path; two and three split a product into one
+    part per worker, with parts of different sizes. Products split from
+    2 x 4.2M multiply-adds instead of 2 x 16.8M, so that batches of 64 rows
+    at h = d = 512 are split too; parts that size stay above OpenBLAS's
+    small-matrix kernels.
     """
     monkeypatch.setattr(linalg, "_PART_MACS", 1 << 22)
 

@@ -12,7 +12,10 @@ optimizer update with whole-array expressions per parameter;
 `label_lookup_sample_batch`, the earlier batch sampler that mines by label
 comparison and per-class negative pools; and `per_learner_pair_trace` /
 `per_learner_triplet_trace`, the earlier boosting traces with one loss and
-one weight call per learner.
+one weight call per learner; `full_activation_loss`, the earlier
+activation loss with per-group temporaries, and `full_call_activation_init`,
+the earlier activation `init_solver` loop, which evaluates that loss once
+more after its last iteration.
 """
 
 import math
@@ -26,11 +29,13 @@ from metricboost.boosting import (
     boost_forward_pair,
     boost_step_triplet,
 )
+from metricboost.diversity import ActivationResult, _column_penalty
 from metricboost.ensemble import cosine_sim_grad_batch
 from metricboost.evaluate import recall_at_k
+from metricboost.linalg import matmul
 from metricboost.losses import boosting_weight_vec, pair_loss_vec, triplet_loss_vec
-from metricboost.optim import MOMENTS
-from metricboost.trainer import SampledBatch
+from metricboost.optim import MOMENTS, Optimizer
+from metricboost.trainer import _INIT_TOL, _INIT_TOL_WINDOW, SampledBatch
 
 
 def brute_force_recall(embeddings, labels, k):
@@ -273,3 +278,44 @@ def label_lookup_sample_batch(fs, P, K, rng, mine="pairs", max_pairs=0):
         draw = rng.integers(0, n - K, size=len(anchor))
         batch.triplets = TripletBatch(anchor, positive, pools[rows, draw])
     return batch
+
+
+def full_activation_loss(model, features, lambda_w):
+    """The activation loss as computed before its tail was built in place."""
+    X = np.asarray(features, dtype=np.float64)
+    n = X.shape[0]
+    phi = model.embed_features(X)
+    F = matmul(phi, model.W)
+    part = model.partition
+    Q = np.empty((n, part.num_groups))
+    for m, sl in enumerate(part.slices()):
+        Q[:, m] = np.sum(F[:, sl] ** 2, axis=1)
+    T = Q.sum(axis=1)
+    sup_term = float((0.5 * (T * T - np.sum(Q * Q, axis=1))).mean())
+    dF = np.empty_like(F)
+    for m, sl in enumerate(part.slices()):
+        dF[:, sl] = (2.0 / n) * F[:, sl] * (T - Q[:, m])[:, None]
+    grad_sup = matmul(phi.T, dF)
+    weight_term, grad_pen = _column_penalty(model.W)
+    loss = sup_term + lambda_w * weight_term
+    return ActivationResult(loss, sup_term, weight_term, grad_sup + lambda_w * grad_pen)
+
+
+def full_call_activation_init(features, model, lambda_w, lr, momentum=0.9,
+                              max_iterations=5000):
+    """(final_loss, initial_div_term, final_div_term, iterations_run) of the
+    activation init loop with `full_activation_loss`, updating model.W."""
+    opt = Optimizer(kind="sgd_momentum", lr=lr, momentum=momentum)
+    history = []
+    for it in range(max_iterations):
+        res = full_activation_loss(model, features, lambda_w)
+        if it == 0:
+            initial_term = res.sup_term
+        history.append(res.loss)
+        if it >= _INIT_TOL_WINDOW:
+            ref = history[it - _INIT_TOL_WINDOW]
+            if abs(history[it] - ref) <= _INIT_TOL * max(abs(ref), 1e-12):
+                break
+        opt.step([model.W], [res.grad_W])
+    final_term = full_activation_loss(model, features, lambda_w).sup_term
+    return history[-1], initial_term, final_term, it + 1

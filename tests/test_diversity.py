@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,18 @@ from metricboost.diversity import (
     init_regressor,
     Regressor,
 )
-from metricboost.ensemble import EnsembleModel, GroupPartition, init_model
+from metricboost.ensemble import (
+    EnsembleModel,
+    GroupPartition,
+    init_model,
+    preset_partition,
+    proportional_partition,
+)
 from metricboost.errors import InvalidArgument
 from metricboost.linalg import make_rng
 from metricboost.trainer import init_solver
+
+from oracles import full_activation_loss
 
 
 def _witness_model():
@@ -84,6 +94,49 @@ class TestActivationLoss:
             worst = max(worst, abs(res.grad_W.flat[k] - fd))
         scale = max(1.0, np.abs(res.grad_W).max())
         assert worst / scale < 1e-6
+
+
+class TestActivationMatchesFullOracle:
+    """The in-place tail gives the bits of the per-group-temporary one."""
+
+    @pytest.mark.parametrize("backbone", [False, True])
+    @pytest.mark.parametrize("partition", [
+        proportional_partition(517, 1),  # one group of 517 columns
+        proportional_partition(517, 2),
+        proportional_partition(517, 3),
+        proportional_partition(517, 4),
+        proportional_partition(517, 5),
+        preset_partition(512, 2),
+        preset_partition(512, 3),
+        preset_partition(512, 4),
+        preset_partition(512, 5),
+    ], ids=lambda part: "-".join(map(str, part.sizes)))
+    @pytest.mark.parametrize("n", [1, 7, 64, 200, 1000])
+    def test_bytes_equal(self, n, partition, backbone):
+        rng = make_rng(n + partition.num_groups)
+        model = init_model(rng, 64, partition, backbone_in_dim=48 if backbone else None)
+        X = rng.standard_normal((n, 48 if backbone else 64))
+        new = activation_loss(model, X, 37.5)
+        old = full_activation_loss(model, X, 37.5)
+        assert repr((new.loss, new.sup_term, new.weight_term)) == repr(
+            (old.loss, old.sup_term, old.weight_term))
+        assert new.grad_W.tobytes() == old.grad_W.tobytes()
+
+    def test_allocation_peak(self):
+        # F, dF, the gradient product and the column-penalty gradient, plus
+        # room for (n, M)-sized and per-column arrays.
+        n, h, d = 1000, 512, 512
+        rng = make_rng(90)
+        model = init_model(rng, h, preset_partition(d, 3))
+        X = rng.standard_normal((n, h))
+        activation_loss(model, X, 100.0)  # start the worker pool outside the trace
+        tracemalloc.start()
+        try:
+            activation_loss(model, X, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n * d + 2 * h * d) * 8 + (1 << 19)
 
 
 class TestRegressor:

@@ -180,7 +180,7 @@ class TestRunParts:
 class TestMatmul:
     @pytest.mark.parametrize("n,k,m,transpose", [
         (16, 512, 512, False),  # batch 16: one part
-        (64, 512, 512, False),  # batch 64: four parts
+        (64, 512, 512, False),  # batch 64: one part per worker
         (64, 512, 512, True),  # phi.T @ dF at batch 64
         (16, 512, 512, True),
         (1000, 512, 512, False),
@@ -194,10 +194,12 @@ class TestMatmul:
         whole = (A @ B).tobytes()
         assert across_workers(lambda: linalg.matmul(A, B).tobytes()) == [whole] * 3
 
-    @pytest.mark.parametrize("n,parts", [(16, 0), (64, 0), (127, 0), (128, 2), (200, 3),
-                                         (1000, 15)])
-    def test_split_from_two_parts_of_the_cutoff(self, monkeypatch, set_workers, n, parts):
-        set_workers(2)
+    @pytest.mark.parametrize("workers,n,parts", [(2, 16, 0), (2, 64, 0), (2, 127, 0),
+                                                 (2, 128, 2), (2, 200, 2), (2, 1000, 2),
+                                                 (3, 1000, 3)])
+    def test_split_from_two_parts_of_the_cutoff(self, monkeypatch, set_workers, workers, n,
+                                                parts):
+        set_workers(workers)
         calls = []
         real = linalg.run_parts
         monkeypatch.setattr(linalg, "run_parts",
@@ -205,6 +207,17 @@ class TestMatmul:
         A = np.ones((n, 512))
         assert np.all(linalg.matmul(A, np.ones((512, 512))) == 512.0)
         assert calls == ([parts] if parts else [])
+
+    @pytest.mark.parametrize("m", [100, 500, 510, 517])
+    def test_widths_off_the_multiple_of_8_run_whole(self, monkeypatch, across_workers, m):
+        # OpenBLAS's AVX-512 kernel rounds a row split of a product wider
+        # than 192 columns differently unless the width is a multiple of 8.
+        A = make_rng(m).standard_normal((2000, 512))
+        B = make_rng(m + 1).standard_normal((512, m))
+        whole = (A @ B).tobytes()
+        assert across_workers(lambda: linalg.matmul(A, B).tobytes()) == [whole] * 3
+        monkeypatch.setattr(linalg, "run_parts", None)
+        assert linalg.matmul(A, B).tobytes() == whole
 
     def test_few_rows_are_never_split(self, monkeypatch, set_workers):
         # Three parts' worth of multiply-adds, but a part would get fewer

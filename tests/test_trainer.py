@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metricboost import diversity, trainer
 from metricboost.boosting import accumulate_plain_gradient, accumulate_W_gradient
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.data_io import SynthSpec, synth_gaussian
@@ -21,7 +22,7 @@ from metricboost.trainer import (
     train_step,
 )
 
-from oracles import label_lookup_sample_batch
+from oracles import full_call_activation_init, label_lookup_sample_batch
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -366,10 +367,70 @@ class TestInitSolver:
                         lr=1e3, max_iterations=200)
 
 
+# (lr, max_iterations, iterations run): the first run stops at
+# max_iterations; in the second W cannot move, so the tolerance stops it
+# after _INIT_TOL_WINDOW + 1 iterations.
+_INIT_STOPS = [(1e-3, 30, 30), (1e-300, 150, 101)]
+
+
+def _init_problem():
+    """40 samples of 16 features and an 8-wide two-group model."""
+    fs = synth_gaussian(SynthSpec(classes=5, per_class=8, feature_dim=16,
+                                  cluster_spread=1.0, noise=0.1, seed=0))
+    cfg = TrainConfig(embedding_dim=8, num_groups=2, seed=0, diversity="adversarial",
+                      regressor_hidden=5)
+    model, bank = build_model(cfg, fs.feature_dim, make_rng(0))
+    return fs.features, model, bank
+
+
+@pytest.mark.filterwarnings("ignore:init solver left")
+class TestInitSolverWork:
+    """The final term costs no gradient and no evaluation the loop already made."""
+
+    @pytest.mark.parametrize("lr,max_iterations,runs", _INIT_STOPS)
+    def test_activation_matches_full_call_oracle(self, lr, max_iterations, runs):
+        X, model, _ = _init_problem()
+        ref = model.copy()
+        res = init_solver(X, model, "activation", lambda_w=100.0, lr=lr,
+                          max_iterations=max_iterations)
+        expect = full_call_activation_init(X, ref, 100.0, lr, max_iterations=max_iterations)
+        assert expect[3] == res.iterations_run == runs
+        assert repr((res.final_loss, res.initial_div_term, res.final_div_term)) == repr(
+            expect[:3])
+        assert model.W.tobytes() == ref.W.tobytes()
+
+    @pytest.mark.parametrize("lr,max_iterations,runs", _INIT_STOPS)
+    def test_activation_products(self, monkeypatch, lr, max_iterations, runs):
+        X, model, _ = _init_problem()
+        n, h = X.shape
+        shapes = []
+        real = diversity.matmul
+        monkeypatch.setattr(diversity, "matmul",
+                            lambda A, B: (shapes.append(A.shape), real(A, B))[1])
+        res = init_solver(X, model, "activation", lambda_w=100.0, lr=lr,
+                          max_iterations=max_iterations)
+        assert res.iterations_run == runs
+        assert shapes.count((h, n)) == runs  # phi.T @ dF
+        assert shapes.count((n, h)) == runs + (runs == max_iterations)  # phi @ W
+        assert len(shapes) == 2 * runs + (runs == max_iterations)
+
+    @pytest.mark.parametrize("lr,max_iterations,runs", _INIT_STOPS)
+    def test_adversarial_calls(self, monkeypatch, lr, max_iterations, runs):
+        X, model, bank = _init_problem()
+        calls = []
+        real = trainer.adversarial_loss
+        monkeypatch.setattr(trainer, "adversarial_loss",
+                            lambda *a, **k: (calls.append(1), real(*a, **k))[1])
+        res = init_solver(X, model, "adversarial", lambda_w=10.0, lr=lr,
+                          max_iterations=max_iterations, bank=bank)
+        assert res.iterations_run == runs
+        assert len(calls) == runs + (runs == max_iterations)
+
+
 def _paper_scale(seed=4):
     """128 samples of 512 features and a 512-wide, three-group model: under
     `across_workers`, the `linalg.matmul` products of a 64-sample batch split
-    into four parts."""
+    into one part per worker."""
     fs = synth_gaussian(SynthSpec(classes=16, per_class=8, feature_dim=512,
                                   cluster_spread=10.0, noise=1.2, seed=seed))
     cfg = TrainConfig(embedding_dim=512, num_groups=3, partition="preset",
