@@ -195,7 +195,7 @@ def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_b
     if train_backbone and model.backbone is not None:
         if X.shape[-1] != model.input_dim:
             raise InvalidArgument(f"input has dim {X.shape[-1]}, model expects {model.input_dim}")
-        phi, pre = model.backbone.forward_with_pre(X)
+        phi, pre = model.backbone.forward(X)
     else:
         phi = model.embed_features(X)
     F = phi @ model.W

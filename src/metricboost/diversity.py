@@ -30,19 +30,13 @@ from .errors import InvalidArgument
 from .linalg import matmul
 
 
-def _column_penalty(W):
-    """Unit-norm penalty on the d columns of W: sum_i (||w_i||^2 - 1)^2."""
-    col_sq = np.sum(W * W, axis=0)
-    value = float(np.sum((col_sq - 1.0) ** 2))
-    grad = 4.0 * (col_sq - 1.0)[None, :] * W
-    return value, grad
-
-
-def _row_penalty(mat):
-    """Unit-norm penalty on the rows (output-neuron vectors) of a matrix."""
-    row_sq = np.sum(mat * mat, axis=1)
-    value = float(np.sum((row_sq - 1.0) ** 2))
-    grad = 4.0 * (row_sq - 1.0)[:, None] * mat
+def _unit_norm_penalty(mat, axis):
+    """sum_v (||v||^2 - 1)^2 over the vectors v of `mat` along `axis`, and its
+    gradient: 4 (||v||^2 - 1) v. axis 0 penalizes the columns of W, axis 1
+    the rows (output-neuron vectors) of a regressor layer."""
+    excess = np.sum(mat * mat, axis=axis) - 1.0
+    value = float(np.sum(excess ** 2))
+    grad = 4.0 * np.expand_dims(excess, axis) * mat
     return value, grad
 
 
@@ -86,7 +80,7 @@ def activation_loss(model, features, lambda_w):
         dF[:, sl] *= (T - Q[:, m])[:, None]
     grad_W = matmul(phi.T, dF)
 
-    weight_term, grad_pen = _column_penalty(model.W)
+    weight_term, grad_pen = _unit_norm_penalty(model.W, 0)
     grad_pen *= lambda_w
     grad_W += grad_pen
     loss = sup_term + lambda_w * weight_term
@@ -174,23 +168,33 @@ class RegressorBank:
     def copy(self):
         return RegressorBank({k: r.copy() for k, r in self.regressors.items()})
 
-    def scaled(self, factor):
-        """A new bank with every regressor array multiplied by `factor`."""
-        return RegressorBank({
-            k: Regressor(factor * r.W1, factor * r.b1, factor * r.W2, factor * r.b2)
-            for k, r in self.regressors.items()
-        })
-
 
 @dataclass
 class AdversarialResult:
     loss: float  # -sim_term + lambda_w * weight_term
     sim_term: float  # (1/N) sum_n sum_{i<j} L_sim
     weight_term: float  # unscaled penalties (regressors + W columns)
-    grad_W: np.ndarray  # embedding gradient: reversed similarity + scaled W penalty
-    grad_W_sim: np.ndarray  # similarity component of grad_W (reversal applied)
-    grad_W_sim_unreversed: np.ndarray  # similarity gradient without the reversal layer
+    grad_W: np.ndarray  # embedding gradient: grad_W_sim + lambda_w * column-penalty gradient
+    grad_W_sim: np.ndarray  # similarity component of grad_W, reversal applied
     regressor_grads: RegressorBank  # gradient of the full loss, keyed like the bank
+    chain: tuple  # (phi, dF_target, dF_source): the similarity gradient's chain inputs
+
+    @property
+    def grad_W_sim_unreversed(self):
+        """The similarity gradient without the reversal layer, built when read."""
+        return -_similarity_gradient(*self.chain, True)
+
+
+def _similarity_gradient(phi, dF_target, dF_source, reverse_target_path):
+    """The reversed similarity gradient phi.T @ dF_target + phi.T @ dF_source,
+    or source minus target when only the regressor-input path is reversed."""
+    target = matmul(phi.T, dF_target)
+    source = matmul(phi.T, dF_source)
+    if not reverse_target_path:
+        source -= target
+        return source
+    target += source
+    return target
 
 
 def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
@@ -200,6 +204,8 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
     `sim_normalizer` picks the 1/d_j (default) or 1/d_i similarity scaling.
     `reverse_target_path` controls whether the direct f_i path is also routed
     through the reversal (default) or only the regressor-input f_j path.
+    Each penalty gradient is scaled by lambda_w in its own buffer, which then
+    takes the similarity term's gradient: every W-sized array is built once.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -247,45 +253,37 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
         dF_target[:, slices[i]] += du
         dF_source[:, slices[j]] += dvj
 
-        # Unit-norm penalties on regressor rows plus the bias hinge.
-        p1, gp1 = _row_penalty(reg.W1)
-        p2, gp2 = _row_penalty(reg.W2)
+        # Unit-norm penalties on regressor rows plus the bias hinge. A dead
+        # hinge still adds lambda_w * 0.0, so a zero bias gradient is +0.0.
+        p1, pen_W1 = _unit_norm_penalty(reg.W1, 1)
+        p2, pen_W2 = _unit_norm_penalty(reg.W2, 1)
         b_all = np.concatenate([reg.b1, reg.b2])
         bias_sq = float(b_all @ b_all)
         hinge_active = bias_sq - 1.0 > 0.0
         p_bias = max(0.0, bias_sq - 1.0)
-        gb1_pen = 2.0 * reg.b1 if hinge_active else np.zeros_like(reg.b1)
-        gb2_pen = 2.0 * reg.b2 if hinge_active else np.zeros_like(reg.b2)
+        pen_b1 = 2.0 * reg.b1 if hinge_active else np.zeros_like(reg.b1)
+        pen_b2 = 2.0 * reg.b2 if hinge_active else np.zeros_like(reg.b2)
         penalty += p1 + p2 + p_bias
 
         # Regressors descend the full loss: maximize similarity, bounded weights.
-        reg_grads[(i, j)] = Regressor(
-            W1=-gW1 + lambda_w * gp1,
-            b1=-gb1 + lambda_w * gb1_pen,
-            W2=-gW2 + lambda_w * gp2,
-            b2=-gb2 + lambda_w * gb2_pen,
-        )
+        for pen, g in ((pen_W1, gW1), (pen_b1, gb1), (pen_W2, gW2), (pen_b2, gb2)):
+            pen *= lambda_w
+            pen -= g
+        reg_grads[(i, j)] = Regressor(pen_W1, pen_b1, pen_W2, pen_b2)
 
-    w_pen, grad_w_pen = _column_penalty(model.W)
+    grad_sim = _similarity_gradient(phi, dF_target, dF_source, reverse_target_path)
+    w_pen, grad_W = _unit_norm_penalty(model.W, 0)
     penalty += w_pen
-
-    grad_sim_target = matmul(phi.T, dF_target)
-    grad_sim_source = matmul(phi.T, dF_source)
-    # Without the reversal layer the embedding would descend -sim_term.
-    grad_unrev = -(grad_sim_target + grad_sim_source)
-    if reverse_target_path:
-        grad_sim = grad_sim_target + grad_sim_source
-    else:
-        grad_sim = -grad_sim_target + grad_sim_source
+    grad_W *= lambda_w
+    grad_W += grad_sim
 
     loss = -sim_term + lambda_w * penalty
     return AdversarialResult(
         loss=loss,
         sim_term=sim_term,
         weight_term=penalty,
-        grad_W=grad_sim + lambda_w * grad_w_pen,
+        grad_W=grad_W,
         grad_W_sim=grad_sim,
-        grad_W_sim_unreversed=grad_unrev,
         regressor_grads=RegressorBank(reg_grads),
+        chain=(phi, dF_target, dF_source),
     )
-

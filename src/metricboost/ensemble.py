@@ -127,17 +127,10 @@ class Backbone:
         return self.weight.shape[0]
 
     def forward(self, x):
-        """x: (in_dim,) or (n, in_dim). Returns activations with matching shape."""
-        return _backbone_forward(self, x)[0]
-
-    def forward_with_pre(self, x):
-        """Returns (activations, pre-activations); the latter feeds the ReLU mask."""
-        return _backbone_forward(self, x)
-
-
-def _backbone_forward(backbone, x):
-    pre = np.asarray(x, dtype=np.float64) @ backbone.weight.T + backbone.bias
-    return np.maximum(pre, 0.0), pre
+        """x: (in_dim,) or (n, in_dim). Returns (activations, pre-activations),
+        both shaped like the output; the latter feeds the ReLU mask."""
+        pre = np.asarray(x, dtype=np.float64) @ self.weight.T + self.bias
+        return np.maximum(pre, 0.0), pre
 
 
 def init_backbone(rng, in_dim, out_dim):
@@ -187,7 +180,7 @@ class EnsembleModel:
             raise InvalidArgument(
                 f"input has dim {x.shape[-1]}, model expects {self.input_dim}"
             )
-        return self.backbone.forward(x) if self.backbone is not None else x
+        return self.backbone.forward(x)[0] if self.backbone is not None else x
 
     def forward_batch(self, x):
         """Raw embeddings for a batch: (n, input_dim) -> (n, d)."""

@@ -283,9 +283,10 @@ def train_step(cfg, model, bank, opt, features, batch):
             cfg.sim_normalizer, cfg.reverse_target_path,
         )
         if lam != 0.0:
-            grad_W = grad_W + lam * div_grad_W
-            if div_bank_grads is not None:
-                bank_grads = div_bank_grads.scaled(lam)
+            for g in _trained_arrays(div_grad_W, bank=div_bank_grads):
+                g *= lam
+            grad_W += div_grad_W
+            bank_grads = div_bank_grads
 
     opt.step(
         _trained_arrays(model.W, model.backbone if train_backbone else None,
@@ -422,11 +423,33 @@ def _eval_row(cfg, model, fs, iteration):
     )
 
 
+def _check_resume(cfg, ckpt):
+    """Refuse a checkpoint whose model or optimizer the config disagrees with.
+
+    A resumed run trains the checkpoint's arrays with its optimizer, so a
+    config asking for another shape or optimizer would otherwise be ignored.
+    """
+    model, opt = ckpt.model, ckpt.optimizer
+    have_want = [
+        ("embedding_dim", model.embedding_dim, cfg.embedding_dim),
+        ("partition sizes", model.partition.sizes, cfg.resolve_partition().sizes),
+        ("use_backbone", model.backbone is not None, cfg.use_backbone),
+    ]
+    if opt is not None:
+        have_want += [("optimizer", opt.kind, cfg.optimizer), ("lr", opt.lr, cfg.lr)]
+    for name, have, want in have_want:
+        if have != want:
+            raise InvalidArgument(f"checkpoint has {name} {have!r}, config has {want!r}")
+
+
 def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
     """Full training run; returns final state and per-interval metrics rows.
 
     `resume` is a Checkpoint: model weights are adopted, and optimizer / bank
-    / rng state continue exactly where they left off when present. The
+    / rng state continue exactly where they left off when present. A
+    checkpoint that disagrees with the config on embedding_dim, partition
+    sizes, use_backbone, or (when it carries one) the optimizer's kind or lr
+    raises InvalidArgument before anything is written. The
     metrics CSV gains one row per eval interval:
     iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr
     """
@@ -437,6 +460,7 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
         model, bank = build_model(cfg, fs.feature_dim, rng)
         opt, start_iter = None, 0
     else:
+        _check_resume(cfg, resume)
         model, bank = resume.model, resume.bank
         opt, start_iter = resume.optimizer, resume.iteration
         if bank is None:

@@ -15,9 +15,13 @@ comparison and per-class negative pools; and `per_learner_pair_trace` /
 one weight call per learner; `full_activation_loss`, the earlier
 activation loss with per-group temporaries, and `full_call_activation_init`,
 the earlier activation `init_solver` loop, which evaluates that loss once
-more after its last iteration.
+more after its last iteration; `full_adversarial_loss`, the earlier
+adversarial loss that builds every W-sized sum as a new array, and
+`scaled_mix_train_step`, the earlier `train_step` mixing of the diversity
+gradients through new arrays.
 """
 
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -25,11 +29,12 @@ import numpy as np
 from metricboost.boosting import (
     PairBatch,
     TripletBatch,
+    accumulate_W_gradient,
     boost_backward_pair,
     boost_forward_pair,
     boost_step_triplet,
 )
-from metricboost.diversity import ActivationResult, _column_penalty
+from metricboost.diversity import ActivationResult, Regressor, RegressorBank
 from metricboost.ensemble import cosine_sim_grad_batch
 from metricboost.evaluate import recall_at_k
 from metricboost.linalg import matmul
@@ -189,7 +194,7 @@ def per_pair_gradient(model, X, batch, spec, signed=False, train_backbone=False)
     loss = float(np.mean(np.sum(trace.weights * trace.losses, axis=-1)))
     if not (train_backbone and model.backbone is not None):
         return model.embed_features(X).T @ dF, None, None, loss, n_used, n_skipped
-    phi, pre = model.backbone.forward_with_pre(X)
+    phi, pre = model.backbone.forward(X)
     dpre = (dF @ model.W.T) * (pre > 0.0)
     return phi.T @ dF, dpre.T @ X, dpre.sum(axis=0), loss, n_used, n_skipped
 
@@ -280,6 +285,22 @@ def label_lookup_sample_batch(fs, P, K, rng, mine="pairs", max_pairs=0):
     return batch
 
 
+def _column_penalty(W):
+    """Unit-norm penalty on the d columns of W: sum_i (||w_i||^2 - 1)^2."""
+    col_sq = np.sum(W * W, axis=0)
+    value = float(np.sum((col_sq - 1.0) ** 2))
+    grad = 4.0 * (col_sq - 1.0)[None, :] * W
+    return value, grad
+
+
+def _row_penalty(mat):
+    """Unit-norm penalty on the rows (output-neuron vectors) of a matrix."""
+    row_sq = np.sum(mat * mat, axis=1)
+    value = float(np.sum((row_sq - 1.0) ** 2))
+    grad = 4.0 * (row_sq - 1.0)[:, None] * mat
+    return value, grad
+
+
 def full_activation_loss(model, features, lambda_w):
     """The activation loss as computed before its tail was built in place."""
     X = np.asarray(features, dtype=np.float64)
@@ -319,3 +340,118 @@ def full_call_activation_init(features, model, lambda_w, lr, momentum=0.9,
         opt.step([model.W], [res.grad_W])
     final_term = full_activation_loss(model, features, lambda_w).sup_term
     return history[-1], initial_term, final_term, it + 1
+
+
+@dataclass
+class FullAdversarialResult:
+    loss: float
+    sim_term: float
+    weight_term: float
+    grad_W: np.ndarray
+    grad_W_sim: np.ndarray
+    grad_W_sim_unreversed: np.ndarray
+    regressor_grads: RegressorBank
+
+
+def full_adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
+                          reverse_target_path=True):
+    """The adversarial loss as computed before its W-sized tail and regressor
+    gradients were built in place."""
+    X = np.asarray(features, dtype=np.float64)
+    part = model.partition
+    n = X.shape[0]
+    phi = model.embed_features(X)
+    F = matmul(phi, model.W)
+    slices = part.slices()
+    sizes = part.sizes
+
+    sim_term = 0.0
+    dF_target = np.zeros_like(F)
+    dF_source = np.zeros_like(F)
+    reg_grads = {}
+    penalty = 0.0
+
+    for (i, j) in bank.keys():
+        reg = bank[(i, j)]
+        u = F[:, slices[i]]
+        vj = F[:, slices[j]]
+        norm = float(sizes[j] if sim_normalizer == "d_j" else sizes[i])
+
+        pre = vj @ reg.W1.T + reg.b1
+        hid = np.maximum(pre, 0.0)
+        out = hid @ reg.W2.T + reg.b2
+        prod = u * out
+        sim_term += float(np.sum(prod * prod)) / (norm * n)
+
+        scale = 2.0 / (norm * n)
+        du = scale * prod * out
+        dout = scale * prod * u
+        gW2 = dout.T @ hid
+        gb2 = dout.sum(axis=0)
+        dhid = dout @ reg.W2
+        dpre = dhid * (pre > 0.0)
+        gW1 = dpre.T @ vj
+        gb1 = dpre.sum(axis=0)
+        dvj = dpre @ reg.W1
+
+        dF_target[:, slices[i]] += du
+        dF_source[:, slices[j]] += dvj
+
+        p1, gp1 = _row_penalty(reg.W1)
+        p2, gp2 = _row_penalty(reg.W2)
+        b_all = np.concatenate([reg.b1, reg.b2])
+        bias_sq = float(b_all @ b_all)
+        hinge_active = bias_sq - 1.0 > 0.0
+        p_bias = max(0.0, bias_sq - 1.0)
+        gb1_pen = 2.0 * reg.b1 if hinge_active else np.zeros_like(reg.b1)
+        gb2_pen = 2.0 * reg.b2 if hinge_active else np.zeros_like(reg.b2)
+        penalty += p1 + p2 + p_bias
+
+        reg_grads[(i, j)] = Regressor(
+            W1=-gW1 + lambda_w * gp1,
+            b1=-gb1 + lambda_w * gb1_pen,
+            W2=-gW2 + lambda_w * gp2,
+            b2=-gb2 + lambda_w * gb2_pen,
+        )
+
+    w_pen, grad_w_pen = _column_penalty(model.W)
+    penalty += w_pen
+
+    grad_sim_target = matmul(phi.T, dF_target)
+    grad_sim_source = matmul(phi.T, dF_source)
+    grad_unrev = -(grad_sim_target + grad_sim_source)
+    if reverse_target_path:
+        grad_sim = grad_sim_target + grad_sim_source
+    else:
+        grad_sim = -grad_sim_target + grad_sim_source
+
+    loss = -sim_term + lambda_w * penalty
+    return FullAdversarialResult(
+        loss=loss,
+        sim_term=sim_term,
+        weight_term=penalty,
+        grad_W=grad_sim + lambda_w * grad_w_pen,
+        grad_W_sim=grad_sim,
+        grad_W_sim_unreversed=grad_unrev,
+        regressor_grads=RegressorBank(reg_grads),
+    )
+
+
+def scaled_mix_train_step(cfg, model, bank, opt, features, batch):
+    """A boosted pair step of `train_step` (no backbone) with the diversity
+    gradients mixed as `grad_W + lam * div.grad_W` and the regressor gradients
+    scaled into a new bank, from `full_activation_loss` or
+    `full_adversarial_loss`."""
+    res = accumulate_W_gradient(model, features, batch.pairs, cfg.loss_spec())
+    lam = cfg.resolved_lambda_div()
+    if cfg.diversity == "activation":
+        div = full_activation_loss(model, features, cfg.lambda_w)
+    else:
+        div = full_adversarial_loss(model, bank, features, cfg.lambda_w,
+                                    cfg.sim_normalizer, cfg.reverse_target_path)
+    params, grads = [model.W], [res.grad_W + lam * div.grad_W]
+    for key in bank.keys() if cfg.diversity == "adversarial" else ():
+        r = div.regressor_grads[key]
+        params += [bank[key].W1, bank[key].b1, bank[key].W2, bank[key].b2]
+        grads += [lam * r.W1, lam * r.b1, lam * r.W2, lam * r.b2]
+    opt.step(params, grads)

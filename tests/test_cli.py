@@ -151,6 +151,43 @@ class TestTrain:
         assert not (tmp_path / "r.ckpt").exists()
         assert csv.read_bytes() == rows  # the refused resume truncated nothing
 
+    @pytest.mark.parametrize("setting,message", [
+        ("embedding_dim=16", "checkpoint has embedding_dim 8, config has 16"),
+        ("num_groups=3", "checkpoint has partition sizes (2, 6), config has (1, 2, 5)"),
+        ("use_backbone=true", "checkpoint has use_backbone False, config has True"),
+        ("optimizer=sgd_momentum", "checkpoint has optimizer 'adam', config has 'sgd_momentum'"),
+        ("lr=5e-2", "checkpoint has lr 0.001, config has 0.05"),
+    ])
+    def test_resume_against_other_config_exits_1(self, tmp_path, train_cfg, data_file,
+                                                 capsys, setting, message):
+        half = tmp_path / "half.ckpt"
+        csv = tmp_path / "metrics.csv"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(half), "--metrics", str(csv), "--set", "iterations=40",
+                     "--set", "eval_interval=20"]) == 0
+        rows = csv.read_bytes()
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--metrics", str(csv),
+                     "--resume", str(half), "--set", setting])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.ckpt").exists()
+        assert csv.read_bytes() == rows
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_model_only_resume_takes_the_config_optimizer(self, tmp_path, train_cfg,
+                                                           data_file):
+        init = tmp_path / "init.ckpt"
+        assert main(["init", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(init), "--set", "init_iterations=5"]) == 0
+        out = tmp_path / "r.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(out), "--resume", str(init), "--set", "iterations=2",
+                     "--set", "optimizer=sgd_momentum", "--set", "lr=5e-2"]) == 0
+        opt = load_checkpoint(out).optimizer
+        assert (opt.kind, opt.lr) == ("sgd_momentum", 5e-2)
+
     def test_resume_from_name_keyed_checkpoint_exits_2(self, tmp_path, train_cfg, data_file,
                                                        capsys):
         old = tmp_path / "old.ckpt"

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from metricboost.errors import InvalidArgument
 from metricboost.linalg import make_rng
 from metricboost.trainer import init_solver
 
-from oracles import full_activation_loss
+from oracles import full_activation_loss, full_adversarial_loss
 
 
 def _witness_model():
@@ -271,6 +272,64 @@ class TestAdversarialLoss:
             assert abs(pen_grad.flat[k] - (up - dn) / (2 * h)) < 1e-5
 
 
+class TestAdversarialLossMatchesFullOracle:
+    """Building each W-sized array once moves no float bit, signed zeros
+    included, against the loss that built every sum as a new array."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    @pytest.mark.parametrize("backbone", [False, True], ids=["features", "backbone"])
+    def test_bytes(self, n, M, backbone):
+        rng = make_rng(100 + 10 * n + M)
+        model = init_model(rng, 10, proportional_partition(12, M),
+                           backbone_in_dim=7 if backbone else None)
+        dead = RegressorBank.create(rng, model.partition, hidden=5)  # zero biases
+        live = dead.copy()
+        for reg in live.regressors.values():  # >= 6 entries of +-0.5: |b|^2 > 1
+            reg.b1[:] = rng.choice([-0.5, 0.5], reg.b1.shape)
+            reg.b2[:] = rng.choice([-0.5, 0.5], reg.b2.shape)
+        X = rng.standard_normal((n, model.input_dim))
+        zero_bias_grads = 0
+        for bank, lambda_w, normalizer, reverse in itertools.product(
+                (dead, live), (0.0, 0.7, 1e4), ("d_j", "d_i"), (True, False)):
+            new = adversarial_loss(model, bank, X, lambda_w, normalizer, reverse)
+            old = full_adversarial_loss(model, bank, X, lambda_w, normalizer, reverse)
+            assert repr((new.loss, new.sim_term, new.weight_term)) == repr(
+                (old.loss, old.sim_term, old.weight_term))
+            for name in ("grad_W", "grad_W_sim", "grad_W_sim_unreversed"):
+                assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+            for key in bank.keys():
+                for part in ("W1", "b1", "W2", "b2"):
+                    got = getattr(new.regressor_grads[key], part)
+                    assert got.tobytes() == getattr(old.regressor_grads[key], part).tobytes()
+                if bank is dead:  # a dead hidden unit's bias gradient is +0.0
+                    b1 = new.regressor_grads[key].b1
+                    assert not np.signbit(b1[b1 == 0.0]).any()
+                    zero_bias_grads += int(np.sum(b1 == 0.0))
+        assert zero_bias_grads > 0 or n > 1
+
+    def test_allocation_peak(self):
+        # The two chain products, then grad_W_sim with the column penalty's
+        # W * W, then with grad_W: two W-sized arrays at once. Besides them,
+        # the regressor gradients, the last regressor's own temporaries (less
+        # than the bank again) and room for the batch-sized arrays.
+        n, h, d = 64, 512, 512
+        rng = make_rng(92)
+        model = init_model(rng, h, preset_partition(d, 3))
+        bank = RegressorBank.create(rng, model.partition, hidden=256)
+        X = rng.standard_normal((n, h))
+        adversarial_loss(model, bank, X, 100.0)  # start the worker pool outside the trace
+        tracemalloc.start()
+        try:
+            adversarial_loss(model, bank, X, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bank_bytes = sum(a.nbytes for key in bank.keys()
+                         for a in (bank[key].W1, bank[key].b1, bank[key].W2, bank[key].b2))
+        assert peak < 2 * h * d * 8 + 2 * bank_bytes + (1 << 20)
+
+
 class TestDispatch:
     """The init solver is where a diversity kind picks its loss."""
 
@@ -304,13 +363,3 @@ class TestRegressorGradientsAreABank:
         for key in bank.keys():
             for part in ("W1", "b1", "W2", "b2"):
                 assert getattr(grads[key], part).shape == getattr(bank[key], part).shape
-
-    def test_scaled_multiplies_every_array(self):
-        rng = make_rng(78)
-        bank = RegressorBank.create(rng, GroupPartition((2, 2)), hidden=3)
-        bank[(0, 1)].b1[:] = rng.standard_normal(3)
-        bank[(0, 1)].b2[:] = rng.standard_normal(2)
-        half = bank.scaled(0.5)
-        for part in ("W1", "b1", "W2", "b2"):
-            np.testing.assert_array_equal(getattr(half[(0, 1)], part),
-                                          0.5 * getattr(bank[(0, 1)], part))

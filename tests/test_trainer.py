@@ -22,7 +22,7 @@ from metricboost.trainer import (
     train_step,
 )
 
-from oracles import full_call_activation_init, label_lookup_sample_batch
+from oracles import full_call_activation_init, label_lookup_sample_batch, scaled_mix_train_step
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -210,6 +210,31 @@ class TestTrainStep:
             for part in ("W1", "b1", "W2", "b2"):
                 want = getattr(before[key], part) - cfg.lr * (0.5 * getattr(grads[key], part))
                 np.testing.assert_array_equal(getattr(bank[key], part), want)
+
+    @pytest.mark.parametrize("kind", ["activation", "adversarial"])
+    def test_steps_match_scaled_mix_oracle(self, kind):
+        # lambda_div scales the diversity gradients in place: W, the bank and
+        # Adam's moments keep the bits they had when it made new arrays.
+        fs = _toy_set()
+        cfg = TrainConfig(embedding_dim=8, num_groups=3, lr=1e-2, batch_classes=3,
+                          samples_per_class=3, seed=2, diversity=kind, lambda_div=0.3,
+                          lambda_w=0.7, regressor_hidden=4)
+        rng = make_rng(cfg.seed)
+        model, bank = build_model(cfg, fs.feature_dim, rng)
+        twin, twin_bank = model.copy(), bank.copy() if bank is not None else None
+        opt, twin_opt = Optimizer(lr=cfg.lr), Optimizer(lr=cfg.lr)
+        for _ in range(4):
+            batch = sample_batch(fs, 3, 3, rng)
+            X = fs.features[batch.indices]
+            train_step(cfg, model, bank, opt, X, batch)
+            scaled_mix_train_step(cfg, twin, twin_bank, twin_opt, X, batch)
+        assert model.W.tobytes() == twin.W.tobytes()
+        for key in bank.keys() if bank is not None else ():
+            for part in ("W1", "b1", "W2", "b2"):
+                ours, theirs = getattr(bank[key], part), getattr(twin_bank[key], part)
+                assert ours.tobytes() == theirs.tobytes()
+        for name, moment in opt.buffers["flat"].items():
+            assert moment.tobytes() == twin_opt.buffers["flat"][name].tobytes(), name
 
     def test_mismatched_mining_rejected(self):
         fs = _toy_set()
