@@ -40,12 +40,12 @@ TRAIN_KEYS = {
     "boost_weight_signed": ("bool", "use signed -loss' weights instead of |loss'|"),
     "use_boosting": ("bool", "false trains one global loss (baseline)"),
     "use_backbone": ("bool", "put a trainable affine+ReLU layer before W"),
-    "backbone_dim": ("int", "backbone output size (0 = feature dim)"),
+    "backbone_dim": ("int", "backbone output size, >= 0 (0 = feature dim)"),
     "backbone_trainable": ("bool", "false freezes the backbone (stagewise)"),
-    "regressor_hidden": ("int", "adversarial regressor hidden size"),
+    "regressor_hidden": ("int", "adversarial regressor hidden size, >= 1"),
     "sim_normalizer": ("str", "d_j | d_i similarity scaling"),
     "reverse_target_path": ("bool", "also reverse the target-embedding path"),
-    "max_pairs_per_batch": ("int", "cap on mined pairs (0 = no cap)"),
+    "max_pairs_per_batch": ("int", "cap on mined pairs, >= 0 (0 = no cap)"),
     "eval_interval": ("int", "iterations between metric rows (0 = none)"),
     "eval_pairs": ("int", "pairs used for classifier correlation"),
     "init_lr": ("float", "init solver learning rate"),

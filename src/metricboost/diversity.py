@@ -197,6 +197,51 @@ def _similarity_gradient(phi, dF_target, dF_source, reverse_target_path):
     return target
 
 
+def _regressor_pair(reg, u, vj, norm, lambda_w):
+    """One regressor's share of the adversarial loss.
+
+    Returns (sim, penalty, du, dvj, grads): its similarity term, its unscaled
+    penalty, the similarity term's gradient with respect to the target group
+    u and the source group vj, and its gradient of the full loss as a
+    Regressor. Its temporaries are freed on return, before the caller builds
+    the W-sized arrays.
+    """
+    n = u.shape[0]
+    pre = vj @ reg.W1.T + reg.b1
+    hid = np.maximum(pre, 0.0)
+    out = hid @ reg.W2.T + reg.b2
+    prod = u * out
+    sim = float(np.sum(prod * prod)) / (norm * n)
+
+    scale = 2.0 / (norm * n)
+    du = scale * prod * out
+    dout = scale * prod * u
+    gW2 = dout.T @ hid
+    gb2 = dout.sum(axis=0)
+    dhid = dout @ reg.W2
+    dpre = dhid * (pre > 0.0)
+    gW1 = dpre.T @ vj
+    gb1 = dpre.sum(axis=0)
+    dvj = dpre @ reg.W1
+
+    # Unit-norm penalties on regressor rows plus the bias hinge. A dead
+    # hinge still adds lambda_w * 0.0, so a zero bias gradient is +0.0.
+    p1, pen_W1 = _unit_norm_penalty(reg.W1, 1)
+    p2, pen_W2 = _unit_norm_penalty(reg.W2, 1)
+    b_all = np.concatenate([reg.b1, reg.b2])
+    bias_sq = float(b_all @ b_all)
+    hinge_active = bias_sq - 1.0 > 0.0
+    p_bias = max(0.0, bias_sq - 1.0)
+    pen_b1 = 2.0 * reg.b1 if hinge_active else np.zeros_like(reg.b1)
+    pen_b2 = 2.0 * reg.b2 if hinge_active else np.zeros_like(reg.b2)
+
+    # Regressors descend the full loss: maximize similarity, bounded weights.
+    for pen, g in ((pen_W1, gW1), (pen_b1, gb1), (pen_W2, gW2), (pen_b2, gb2)):
+        pen *= lambda_w
+        pen -= g
+    return sim, p1 + p2 + p_bias, du, dvj, Regressor(pen_W1, pen_b1, pen_W2, pen_b2)
+
+
 def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
                      reverse_target_path=True):
     """Adversarial loss with regressor gradients and the reversed W gradient.
@@ -215,7 +260,6 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
     part = model.partition
     if not bank.matches(part):
         raise InvalidArgument("regressor bank does not match the model partition")
-    n = X.shape[0]
     phi = model.embed_features(X)
     F = matmul(phi, model.W)
     slices = part.slices()
@@ -228,48 +272,13 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
     penalty = 0.0
 
     for (i, j) in bank.keys():
-        reg = bank[(i, j)]
-        u = F[:, slices[i]]
-        vj = F[:, slices[j]]
         norm = float(sizes[j] if sim_normalizer == "d_j" else sizes[i])
-
-        pre = vj @ reg.W1.T + reg.b1
-        hid = np.maximum(pre, 0.0)
-        out = hid @ reg.W2.T + reg.b2
-        prod = u * out
-        sim_term += float(np.sum(prod * prod)) / (norm * n)
-
-        scale = 2.0 / (norm * n)
-        du = scale * prod * out
-        dout = scale * prod * u
-        gW2 = dout.T @ hid
-        gb2 = dout.sum(axis=0)
-        dhid = dout @ reg.W2
-        dpre = dhid * (pre > 0.0)
-        gW1 = dpre.T @ vj
-        gb1 = dpre.sum(axis=0)
-        dvj = dpre @ reg.W1
-
+        sim, pen, du, dvj, reg_grads[(i, j)] = _regressor_pair(
+            bank[(i, j)], F[:, slices[i]], F[:, slices[j]], norm, lambda_w)
+        sim_term += sim
+        penalty += pen
         dF_target[:, slices[i]] += du
         dF_source[:, slices[j]] += dvj
-
-        # Unit-norm penalties on regressor rows plus the bias hinge. A dead
-        # hinge still adds lambda_w * 0.0, so a zero bias gradient is +0.0.
-        p1, pen_W1 = _unit_norm_penalty(reg.W1, 1)
-        p2, pen_W2 = _unit_norm_penalty(reg.W2, 1)
-        b_all = np.concatenate([reg.b1, reg.b2])
-        bias_sq = float(b_all @ b_all)
-        hinge_active = bias_sq - 1.0 > 0.0
-        p_bias = max(0.0, bias_sq - 1.0)
-        pen_b1 = 2.0 * reg.b1 if hinge_active else np.zeros_like(reg.b1)
-        pen_b2 = 2.0 * reg.b2 if hinge_active else np.zeros_like(reg.b2)
-        penalty += p1 + p2 + p_bias
-
-        # Regressors descend the full loss: maximize similarity, bounded weights.
-        for pen, g in ((pen_W1, gW1), (pen_b1, gb1), (pen_W2, gW2), (pen_b2, gb2)):
-            pen *= lambda_w
-            pen -= g
-        reg_grads[(i, j)] = Regressor(pen_W1, pen_b1, pen_W2, pen_b2)
 
     grad_sim = _similarity_gradient(phi, dF_target, dF_source, reverse_target_path)
     w_pen, grad_W = _unit_norm_penalty(model.W, 0)

@@ -13,13 +13,13 @@ are sorted by descending score, then ascending index. A row whose smallest
 surviving score is tied with entries left out is re-ranked over every entry
 at or above that score, so the result equals a full sort exactly. With
 K_max = 1 the block takes the first maximum per row (argmax), which is the
-same tie rule, and skips the partition, sort and re-rank. The blocks are
-shared out over `linalg.workers()` threads, the caller among them, which
-claim them one at a time. Each thread scores its blocks into its own
-(_BLOCK, N) buffer, allocated once per call, and writes only those blocks'
-rows of the result, so the result does not depend on the thread count or on
-which thread ranked which block. Memory is O(workers * _BLOCK * N), at most
-2 * 256 * N * 8 bytes of score buffers (see `linalg._MAX_WORKERS`).
+same tie rule, and skips the partition, sort and re-rank. With two
+workers (`linalg.run_halves`) the caller ranks the first half of the blocks
+and the helper thread the second. Each half scores its blocks into its own
+(_BLOCK, N) buffer, allocated by the caller once per call, and writes only
+those blocks' rows of the result, so the result does not depend on the
+worker count or on which thread ranked which half. Memory is
+O(workers * _BLOCK * N), at most 2 * 256 * N * 8 bytes of score buffers.
 Non-finite embeddings raise InvalidArgument, and so do rows whose squared
 norm exceeds half the float64 maximum: that bound keeps every similarity
 finite, so it is checked once instead of on every block.
@@ -40,7 +40,7 @@ import logging
 import numpy as np
 
 from .errors import InvalidArgument, UndefinedCorrelation
-from .linalg import make_rng, run_parts, workers
+from .linalg import make_rng, run_halves, workers
 
 log = logging.getLogger(__name__)
 
@@ -50,7 +50,7 @@ _BLOCK = 256  # query rows per similarity block
 def _rank_block(E, labels, lo, kmax, S, first_hit):
     """Score query rows lo.. against all of E into S and set their first_hit.
 
-    Runs on pool threads, so it calls numpy only.
+    Runs on the helper thread too, so it calls numpy only.
     """
     n = len(E)
     np.matmul(E[lo:lo + len(S)], E.T, out=S)
@@ -93,14 +93,15 @@ def recall_at_k(embeddings, labels, ks):
     kmax = max(ks)
     first_hit = np.empty(n, dtype=np.intp)  # rank of the first same-label neighbour
     blocks = range(0, n, _BLOCK)
-    # One score buffer per thread of the split (see run_parts).
+    # One score buffer per half of the split, allocated here: a buffer
+    # allocated on the helper thread would come from its own malloc arena.
     scores = [np.empty((min(_BLOCK, n), n)) for _ in range(min(workers(), len(blocks)))]
 
-    def rank(block, slot):
-        lo = blocks[block]
-        _rank_block(E, labels, lo, kmax, scores[slot][:min(_BLOCK, n - lo)], first_hit)
+    def rank(half, first, stop):
+        for lo in blocks[first:stop]:
+            _rank_block(E, labels, lo, kmax, scores[half][:min(_BLOCK, n - lo)], first_hit)
 
-    run_parts(rank, len(blocks))
+    run_halves(rank, len(blocks))
     return {k: float(np.mean(first_hit < k)) for k in sorted(set(ks))}
 
 

@@ -107,6 +107,13 @@ class TrainConfig:
             raise InvalidArgument("samples_per_class must be >= 2")
         if self.iterations < 0:
             raise InvalidArgument("iterations must be >= 0")
+        if self.max_pairs_per_batch < 0:
+            raise InvalidArgument(
+                f"max_pairs_per_batch must be >= 0, got {self.max_pairs_per_batch}")
+        if self.regressor_hidden < 1:
+            raise InvalidArgument(f"regressor_hidden must be >= 1, got {self.regressor_hidden}")
+        if self.backbone_dim < 0:
+            raise InvalidArgument(f"backbone_dim must be >= 0, got {self.backbone_dim}")
 
     def loss_spec(self):
         return LossSpec(
@@ -428,15 +435,20 @@ def _check_resume(cfg, ckpt):
 
     A resumed run trains the checkpoint's arrays with its optimizer, so a
     config asking for another shape or optimizer would otherwise be ignored.
+    The config's embedding size is its partition's total, which a preset row
+    or `group_sizes` can make differ from `embedding_dim`.
     """
-    model, opt = ckpt.model, ckpt.optimizer
+    model, opt, part = ckpt.model, ckpt.optimizer, cfg.resolve_partition()
     have_want = [
-        ("embedding_dim", model.embedding_dim, cfg.embedding_dim),
-        ("partition sizes", model.partition.sizes, cfg.resolve_partition().sizes),
+        ("embedding_dim", model.embedding_dim, part.total_dim),
+        ("partition sizes", model.partition.sizes, part.sizes),
         ("use_backbone", model.backbone is not None, cfg.use_backbone),
     ]
     if opt is not None:
         have_want += [("optimizer", opt.kind, cfg.optimizer), ("lr", opt.lr, cfg.lr)]
+    if ckpt.bank is not None and cfg.diversity == "adversarial":
+        have_want += [("regressor_hidden", reg.hidden, cfg.regressor_hidden)
+                      for reg in ckpt.bank.regressors.values()]
     for name, have, want in have_want:
         if have != want:
             raise InvalidArgument(f"checkpoint has {name} {have!r}, config has {want!r}")
@@ -447,9 +459,10 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
 
     `resume` is a Checkpoint: model weights are adopted, and optimizer / bank
     / rng state continue exactly where they left off when present. A
-    checkpoint that disagrees with the config on embedding_dim, partition
+    checkpoint that disagrees with the config on embedding size, partition
     sizes, use_backbone, or (when it carries one) the optimizer's kind or lr
-    raises InvalidArgument before anything is written. The
+    or, for adversarial diversity, the regressor bank's hidden size raises
+    InvalidArgument before anything is written. The
     metrics CSV gains one row per eval interval:
     iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr
     """

@@ -175,6 +175,38 @@ class TestTrain:
         assert not (tmp_path / "r.ckpt").exists()
         assert csv.read_bytes() == rows
 
+    @pytest.mark.parametrize("settings", [
+        ["--set", "partition=preset", "--set", "embedding_dim=512", "--set", "num_groups=4"],
+        ["--set", "group_sizes=2 4 4", "--set", "embedding_dim=12"],
+    ], ids=["preset-512-4", "group-sizes"])
+    def test_resume_when_the_partition_total_is_not_embedding_dim(self, tmp_path, train_cfg,
+                                                                  data_file, settings):
+        # The (512, 4) preset row totals 510 columns, and 2 + 4 + 4 is 10.
+        train = ["train", "--data", str(data_file), "--config", str(train_cfg)]
+        full, half, resumed = (tmp_path / f"{name}.ckpt" for name in ("full", "half", "res"))
+        assert main(train + ["--out", str(full)] + settings) == 0
+        assert main(train + ["--out", str(half), "--set", "iterations=40"] + settings) == 0
+        assert main(train + ["--out", str(resumed), "--resume", str(half)] + settings) == 0
+        assert resumed.read_bytes() == full.read_bytes()
+
+    def test_resume_with_other_regressor_hidden_exits_1(self, tmp_path, train_cfg, data_file,
+                                                        capsys):
+        half = tmp_path / "half.ckpt"
+        csv = tmp_path / "metrics.csv"
+        adversarial = ["--set", "diversity=adversarial"]
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(half), "--metrics", str(csv), "--set", "iterations=40",
+                     "--set", "eval_interval=20"] + adversarial) == 0
+        rows = csv.read_bytes()
+        capsys.readouterr()
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--metrics", str(csv),
+                     "--resume", str(half), "--set", "regressor_hidden=32"] + adversarial)
+        assert code == 1
+        assert capsys.readouterr().err == "error: checkpoint has regressor_hidden 6, config has 32\n"
+        assert not (tmp_path / "r.ckpt").exists()
+        assert csv.read_bytes() == rows
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_model_only_resume_takes_the_config_optimizer(self, tmp_path, train_cfg,
                                                            data_file):
@@ -217,6 +249,20 @@ class TestTrain:
         code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
                      "--out", str(ckpt), "--set", setting, "--set", "use_backbone=true",
                      "--set", "iterations=1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("setting,message", [
+        ("max_pairs_per_batch=-1", "max_pairs_per_batch must be >= 0, got -1"),
+        ("regressor_hidden=0", "regressor_hidden must be >= 1, got 0"),
+        ("backbone_dim=-1", "backbone_dim must be >= 0, got -1"),
+    ])
+    def test_train_setting_outside_its_range_exits_1(self, tmp_path, train_cfg, data_file,
+                                                     capsys, setting, message):
+        ckpt = tmp_path / "o.ckpt"
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(ckpt), "--set", setting, "--set", "iterations=1"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not ckpt.exists()

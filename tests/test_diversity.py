@@ -311,8 +311,10 @@ class TestAdversarialLossMatchesFullOracle:
     def test_allocation_peak(self):
         # The two chain products, then grad_W_sim with the column penalty's
         # W * W, then with grad_W: two W-sized arrays at once. Besides them,
-        # the regressor gradients, the last regressor's own temporaries (less
-        # than the bank again) and room for the batch-sized arrays.
+        # the regressor gradients, F and its two gradients, and room for
+        # smaller arrays. Each regressor's temporaries must be freed before
+        # the W-sized tail: the last pair's, kept alive through it, lift the
+        # peak from 7.0 to 8.6 MiB, over this bound.
         n, h, d = 64, 512, 512
         rng = make_rng(92)
         model = init_model(rng, h, preset_partition(d, 3))
@@ -327,7 +329,7 @@ class TestAdversarialLossMatchesFullOracle:
             tracemalloc.stop()
         bank_bytes = sum(a.nbytes for key in bank.keys()
                          for a in (bank[key].W1, bank[key].b1, bank[key].W2, bank[key].b2))
-        assert peak < 2 * h * d * 8 + 2 * bank_bytes + (1 << 20)
+        assert peak < (2 * h * d + 3 * n * d) * 8 + bank_bytes + (1 << 19)
 
 
 class TestDispatch:

@@ -65,107 +65,145 @@ class TestWorkerCount:
 
 
 class TestRunParts:
-    def test_every_part_runs_once_and_slot_0_is_the_caller(self, monkeypatch, set_workers):
-        set_workers(3)
-        seen = {}
+    """`run_halves`: the caller runs the first half of the parts, the helper
+    thread the second."""
 
-        def part(i, slot):
-            time.sleep(0.01)  # long enough for the pool threads to claim parts
-            seen[i] = (slot, threading.current_thread())
+    def test_every_part_runs_once_and_half_0_is_the_caller(self, set_workers):
+        set_workers(2)
+        for count in (2, 9):
+            started = threading.Event()
+            seen = {}
 
-        linalg.run_parts(part, 9)
-        assert sorted(seen) == list(range(9))
-        for slot, thread in seen.values():
-            assert (slot == 0) == (thread is threading.main_thread())
-        assert {slot for slot, _ in seen.values()} == {0, 1, 2}
+            def half(h, lo, hi):
+                if h == 1:
+                    started.set()
+                else:
+                    assert started.wait(10)  # the helper runs half 1 alongside
+                seen[h] = (list(range(lo, hi)), threading.current_thread())
+
+            linalg.run_halves(half, count)
+            assert seen[0] == (list(range(count // 2)), threading.main_thread())
+            assert seen[0][0] + seen[1][0] == list(range(count))
+            assert seen[1][1] is not threading.main_thread()
 
     def test_one_worker_runs_everything_on_the_caller(self, monkeypatch, set_workers):
-        set_workers(1)
         monkeypatch.setattr(linalg, "_executor", None)  # calling it would fail
-        seen = []
-        linalg.run_parts(lambda i, slot: seen.append((i, slot, threading.current_thread())), 3)
-        assert seen == [(i, 0, threading.main_thread()) for i in range(3)]
+        for workers, count in ((1, 3), (2, 1)):
+            set_workers(workers)
+            seen = []
+            linalg.run_halves(lambda *args: seen.append((args, threading.current_thread())),
+                              count)
+            assert seen == [((0, 0, count), threading.main_thread())]
 
-    def test_a_late_pool_thread_leaves_its_parts_to_the_caller(self, monkeypatch, set_workers):
+    def test_a_late_pool_thread_leaves_its_parts_to_the_caller(self, set_workers):
         set_workers(2)
-        real = linalg._executor
+        release = threading.Event()
+        busy = linalg._executor().submit(release.wait)  # holds the helper thread
+        seen = []
+        try:
+            linalg.run_halves(lambda *args: seen.append((args, threading.current_thread())), 4)
+        finally:
+            release.set()
+            busy.result(timeout=10)
+        assert seen == [((0, 0, 2), threading.main_thread()),
+                        ((1, 2, 4), threading.main_thread())]
 
-        class Late:
-            def submit(self, fn, *args):
-                def late():
-                    time.sleep(0.2)
-                    return fn(*args)
-                return real().submit(late)
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_part_waits_for_the_others(self, set_workers, failing):
+        set_workers(2)
+        error = ValueError("half failed")
+        started = threading.Event()
+        buf = np.zeros(2)
 
-        monkeypatch.setattr(linalg, "_executor", lambda: Late())
-        slots = []
-        linalg.run_parts(lambda i, slot: slots.append(slot), 4)
-        assert slots == [0, 0, 0, 0]
-
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_a_failing_part_waits_for_the_others(self, monkeypatch, set_workers, failing):
-        set_workers(3)
-        error = ValueError("part failed")
-        buf = np.zeros(3)
-
-        def part(i, _):
-            if i == failing:
+        def half(h, lo, hi):
+            if h == 1:
+                started.set()
+            elif not started.wait(10):
+                raise AssertionError("the helper did not start half 1")
+            if h == failing:
                 raise error
             time.sleep(0.2)
-            buf[i] = 1.0
+            buf[h] = 1.0
 
         with pytest.raises(ValueError) as info:
-            linalg.run_parts(part, 3)
+            linalg.run_halves(half, 2)
         assert info.value is error
-        want = np.ones(3)
+        want = [1.0, 1.0]
         want[failing] = 0.0
-        assert buf.tolist() == want.tolist()  # every other part finished first
-        time.sleep(0.05)
-        assert buf.tolist() == want.tolist()
+        assert buf.tolist() == want  # the other half finished first
 
-    def test_an_interrupted_caller_stops_the_split(self, monkeypatch, set_workers):
+    @pytest.mark.parametrize("slow", [0, 1])
+    def test_first_failing_part_in_part_order_wins(self, set_workers, slow):
         set_workers(2)
-        done = []
+        errors = [KeyError("zero"), KeyError("one")]
+        started = threading.Event()
+        finished = []
 
-        def part(i, slot):
-            if slot == 0:
-                raise KeyboardInterrupt
-            time.sleep(0.05)
-            done.append(i)
-
-        with pytest.raises(KeyboardInterrupt):
-            linalg.run_parts(part, 20)
-        finished = list(done)
-        assert len(finished) <= 2  # the pool thread starts no part after the interrupt
-        time.sleep(0.1)
-        assert done == finished
-
-    @pytest.mark.parametrize("slow", [1, 2])
-    def test_first_failing_part_in_part_order_wins(self, monkeypatch, set_workers, slow):
-        set_workers(3)
-        errors = [None, KeyError("one"), KeyError("two")]
-
-        def part(i, _):
-            if i == slow:
-                time.sleep(0.1)  # fails after the other part has failed
-            if errors[i] is not None:
-                raise errors[i]
+        def half(h, lo, hi):
+            if h == 1:
+                started.set()
+            elif not started.wait(10):
+                raise AssertionError("the helper did not start half 1")
+            if h == slow:
+                time.sleep(0.1)  # fails after the other half has failed
+            finished.append(h)
+            raise errors[h]
 
         with pytest.raises(KeyError) as info:
-            linalg.run_parts(part, 3)
-        assert info.value is errors[1]
+            linalg.run_halves(half, 2)
+        assert info.value is errors[0]
+        assert sorted(finished) == [0, 1]  # half 1 ended before half 0's error surfaced
 
-    def test_stress_more_workers_than_cores(self, monkeypatch, set_workers):
-        # Four workers and a short switch interval: a part that wrote into
-        # another's rows or buffer, or a lost write, changes the bytes.
+    def test_an_interrupted_caller_stops_the_split(self, set_workers):
+        # A half the helper has not started is cancelled.
+        set_workers(2)
+        release = threading.Event()
+        busy = linalg._executor().submit(release.wait)  # holds the helper thread
+        ran = []
+
+        def half(h, lo, hi):
+            if h == 0:
+                raise KeyboardInterrupt
+            ran.append(h)
+
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                linalg.run_halves(half, 2)
+        finally:
+            release.set()
+            busy.result(timeout=10)
+        linalg._executor().submit(lambda: None).result(timeout=10)  # the helper is idle again
+        assert ran == []
+
+    def test_an_interrupted_caller_waits_for_a_started_half(self, set_workers):
+        set_workers(2)
+        started = threading.Event()
+        done = []
+
+        def half(h, lo, hi):
+            if h == 0:
+                assert started.wait(10)
+                raise KeyboardInterrupt
+            started.set()
+            time.sleep(0.2)
+            done.append(h)
+
+        with pytest.raises(KeyboardInterrupt):
+            linalg.run_halves(half, 2)
+        assert done == [1]
+
+    def test_stress_two_workers(self, monkeypatch, set_workers):
+        # Two workers and a short switch interval: a half that wrote into
+        # the other's rows or buffer, or a lost write, changes the bytes.
         monkeypatch.setattr(evaluate, "_BLOCK", 16)
         monkeypatch.setattr(linalg, "_PART_MACS", 1 << 20)
         rng = make_rng(8)
         emb = rng.integers(-2, 3, size=(400, 3)).astype(float)
         labels = rng.integers(0, 20, size=400)
         A, B = rng.standard_normal((400, 256)), rng.standard_normal((256, 256))
+        set_workers(1)
         want = repr(evaluate.recall_at_k(emb, labels, [1, 4])), (A @ B).tobytes()
-        set_workers(4)
+        set_workers(2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -180,7 +218,7 @@ class TestRunParts:
 class TestMatmul:
     @pytest.mark.parametrize("n,k,m,transpose", [
         (16, 512, 512, False),  # batch 16: one part
-        (64, 512, 512, False),  # batch 64: one part per worker
+        (64, 512, 512, False),  # batch 64: two halves
         (64, 512, 512, True),  # phi.T @ dF at batch 64
         (16, 512, 512, True),
         (1000, 512, 512, False),
@@ -192,21 +230,20 @@ class TestMatmul:
         A = rng.standard_normal((k, n)).T if transpose else rng.standard_normal((n, k))
         B = rng.standard_normal((k, m))
         whole = (A @ B).tobytes()
-        assert across_workers(lambda: linalg.matmul(A, B).tobytes()) == [whole] * 3
+        assert across_workers(lambda: linalg.matmul(A, B).tobytes()) == [whole] * 2
 
     @pytest.mark.parametrize("workers,n,parts", [(2, 16, 0), (2, 64, 0), (2, 127, 0),
-                                                 (2, 128, 2), (2, 200, 2), (2, 1000, 2),
-                                                 (3, 1000, 3)])
+                                                 (2, 128, 2), (2, 200, 2), (2, 1000, 2)])
     def test_split_from_two_parts_of_the_cutoff(self, monkeypatch, set_workers, workers, n,
                                                 parts):
         set_workers(workers)
         calls = []
-        real = linalg.run_parts
-        monkeypatch.setattr(linalg, "run_parts",
+        real = linalg.run_halves
+        monkeypatch.setattr(linalg, "run_halves",
                             lambda fn, count: (calls.append(count), real(fn, count)))
         A = np.ones((n, 512))
         assert np.all(linalg.matmul(A, np.ones((512, 512))) == 512.0)
-        assert calls == ([parts] if parts else [])
+        assert calls == ([n] if parts else [])  # a split product hands run_halves its rows
 
     @pytest.mark.parametrize("m", [100, 500, 510, 517])
     def test_widths_off_the_multiple_of_8_run_whole(self, monkeypatch, across_workers, m):
@@ -215,23 +252,23 @@ class TestMatmul:
         A = make_rng(m).standard_normal((2000, 512))
         B = make_rng(m + 1).standard_normal((512, m))
         whole = (A @ B).tobytes()
-        assert across_workers(lambda: linalg.matmul(A, B).tobytes()) == [whole] * 3
-        monkeypatch.setattr(linalg, "run_parts", None)
+        assert across_workers(lambda: linalg.matmul(A, B).tobytes()) == [whole] * 2
+        monkeypatch.setattr(linalg, "run_halves", None)
         assert linalg.matmul(A, B).tobytes() == whole
 
     def test_few_rows_are_never_split(self, monkeypatch, set_workers):
-        # Three parts' worth of multiply-adds, but a part would get fewer
+        # Two halves' worth of multiply-adds, but a half would get fewer
         # than 8 rows.
         set_workers(2)
         monkeypatch.setattr(linalg, "_PART_MACS", 1 << 20)
-        monkeypatch.setattr(linalg, "run_parts", None)
+        monkeypatch.setattr(linalg, "run_halves", None)
         A = make_rng(3).standard_normal((15, 512))
         B = make_rng(4).standard_normal((512, 512))
         assert linalg.matmul(A, B).tobytes() == (A @ B).tobytes()
 
     def test_one_worker_never_splits(self, monkeypatch, set_workers):
         set_workers(1)
-        monkeypatch.setattr(linalg, "run_parts", None)
+        monkeypatch.setattr(linalg, "run_halves", None)
         A = make_rng(5).standard_normal((1000, 512))
         B = make_rng(6).standard_normal((512, 512))
         assert linalg.matmul(A, B).tobytes() == (A @ B).tobytes()

@@ -455,7 +455,7 @@ class TestInitSolverWork:
 def _paper_scale(seed=4):
     """128 samples of 512 features and a 512-wide, three-group model: under
     `across_workers`, the `linalg.matmul` products of a 64-sample batch split
-    into one part per worker."""
+    into halves."""
     fs = synth_gaussian(SynthSpec(classes=16, per_class=8, feature_dim=512,
                                   cluster_spread=10.0, noise=1.2, seed=seed))
     cfg = TrainConfig(embedding_dim=512, num_groups=3, partition="preset",
@@ -464,11 +464,11 @@ def _paper_scale(seed=4):
 
 
 def _same_across_workers(results):
-    assert results[1] == results[0] and results[2] == results[0]
+    assert results[1] == results[0]
 
 
 class TestSplitIsBitIdentical:
-    """The worker count (1, 2 or 3; see conftest) moves no float bit."""
+    """The worker count (1 or 2; see conftest) moves no float bit."""
 
     @pytest.mark.parametrize("route", ["boosted", "plain", "triplet", "backbone"])
     def test_gradients(self, across_workers, route):
