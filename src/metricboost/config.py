@@ -12,30 +12,30 @@ from .trainer import TrainConfig
 # key -> (type tag, help)
 TRAIN_KEYS = {
     "loss": ("str", "binomial_deviance | contrastive | triplet"),
-    "beta1": ("float", "binomial deviance scaling (default 2)"),
-    "beta2": ("float", "binomial deviance translation (default 0.5)"),
-    "margin_contrastive": ("float", "contrastive margin (default 0.5)"),
-    "margin_triplet": ("float", "triplet margin (default 0.01)"),
-    "cost_pos": ("float", "positive-pair cost (default 1)"),
-    "cost_neg": ("float", "negative-pair cost (default 25)"),
+    "beta1": ("float", "binomial deviance scaling, finite and > 0 (default 2)"),
+    "beta2": ("float", "binomial deviance translation, finite (default 0.5)"),
+    "margin_contrastive": ("float", "contrastive margin, finite and >= 0 (default 0.5)"),
+    "margin_triplet": ("float", "triplet margin, finite and >= 0 (default 0.01)"),
+    "cost_pos": ("float", "positive-pair cost, finite and > 0 (default 1)"),
+    "cost_neg": ("float", "negative-pair cost, finite and > 0 (default 25)"),
     "embedding_dim": ("int", "total embedding size d"),
     "num_groups": ("int", "number of learners M"),
     "partition": ("str", "proportional | preset (group_sizes overrides either)"),
     "group_sizes": ("int_tuple", "explicit group sizes, overrides partition mode"),
     "diversity": ("str", "none | activation | adversarial"),
-    "lambda_div": ("opt_float", "diversity weight (default 1e-2 act / 1e-3 adv)"),
-    "lambda_w": ("float", "unit-norm weight penalty strength"),
-    "lr": ("float", "optimizer learning rate (> 0)"),
+    "lambda_div": ("opt_float", "diversity weight, finite and >= 0 (default 1e-2 act / 1e-3 adv)"),
+    "lambda_w": ("float", "unit-norm weight penalty strength, finite and >= 0"),
+    "lr": ("float", "optimizer learning rate, finite and > 0"),
     "optimizer": ("str", "adam | sgd_momentum"),
     "momentum": ("float", "sgd momentum, also the init solver's, in [0, 1)"),
     "adam_beta1": ("float", "adam first-moment decay, in [0, 1)"),
     "adam_beta2": ("float", "adam second-moment decay, in [0, 1)"),
-    "adam_eps": ("float", "adam epsilon (> 0)"),
+    "adam_eps": ("float", "adam epsilon, finite and > 0"),
     "iterations": ("int", "training iterations"),
     "batch_classes": ("int", "classes per batch (P)"),
     "samples_per_class": ("int", "samples per class per batch (K)"),
     "seed": ("int", "master seed"),
-    "weight_exponent": ("float", "alpha exponent in the test embedding"),
+    "weight_exponent": ("float", "alpha exponent in the test embedding, finite"),
     "renormalize_full": ("bool", "L2-normalize the concatenated test embedding"),
     "boost_weight_signed": ("bool", "use signed -loss' weights instead of |loss'|"),
     "use_boosting": ("bool", "false trains one global loss (baseline)"),
@@ -45,10 +45,9 @@ TRAIN_KEYS = {
     "regressor_hidden": ("int", "adversarial regressor hidden size, >= 1"),
     "sim_normalizer": ("str", "d_j | d_i similarity scaling"),
     "reverse_target_path": ("bool", "also reverse the target-embedding path"),
-    "max_pairs_per_batch": ("int", "cap on mined pairs, >= 0 (0 = no cap)"),
-    "eval_interval": ("int", "iterations between metric rows (0 = none)"),
+    "eval_interval": ("int", "iterations between metric rows, >= 0 (0 = none)"),
     "eval_pairs": ("int", "pairs used for classifier correlation"),
-    "init_lr": ("float", "init solver learning rate"),
+    "init_lr": ("float", "init solver learning rate, finite and > 0"),
     "init_iterations": ("int", "init solver iteration cap"),
 }
 

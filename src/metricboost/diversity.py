@@ -108,15 +108,6 @@ class Regressor:
     def hidden(self):
         return self.W1.shape[0]
 
-    def forward(self, v):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape[-1] != self.d_in:
-            raise InvalidArgument(f"regressor expects dim {self.d_in}, got {v.shape[-1]}")
-        return np.maximum(v @ self.W1.T + self.b1, 0.0) @ self.W2.T + self.b2
-
-    def copy(self):
-        return Regressor(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
-
 
 def init_regressor(rng, d_in, d_out, hidden=512):
     """Glorot-uniform weights, zero biases."""
@@ -164,9 +155,6 @@ class RegressorBank:
             self[(i, j)].d_in == sizes[j] and self[(i, j)].d_out == sizes[i]
             for (i, j) in want
         )
-
-    def copy(self):
-        return RegressorBank({k: r.copy() for k, r in self.regressors.items()})
 
 
 @dataclass

@@ -156,11 +156,6 @@ class EnsembleModel:
         self.backbone = backbone
 
     @property
-    def feature_dim(self):
-        """Rows of W, i.e. the dimensionality the embedding reads."""
-        return self.W.shape[0]
-
-    @property
     def input_dim(self):
         """Dimensionality of raw inputs (backbone input when present)."""
         return self.backbone.in_dim if self.backbone is not None else self.W.shape[0]

@@ -37,12 +37,17 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise InvalidArgument(f"unknown loss kind {self.kind!r}")
-        if self.beta1 <= 0:
-            raise InvalidArgument("beta1 must be > 0")
-        if self.margin_contrastive < 0 or self.margin_triplet < 0:
-            raise InvalidArgument("margins must be >= 0")
-        if self.cost_pos <= 0 or self.cost_neg <= 0:
-            raise InvalidArgument("costs must be > 0")
+        # Each check passes only inside its range, so NaN fails it too.
+        for name, value in (("beta1", self.beta1), ("cost_pos", self.cost_pos),
+                            ("cost_neg", self.cost_neg)):
+            if not 0.0 < value < np.inf:
+                raise InvalidArgument(f"{name} must be finite and > 0, got {value!r}")
+        for name, value in (("margin_contrastive", self.margin_contrastive),
+                            ("margin_triplet", self.margin_triplet)):
+            if not 0.0 <= value < np.inf:
+                raise InvalidArgument(f"{name} must be finite and >= 0, got {value!r}")
+        if not np.isfinite(self.beta2):
+            raise InvalidArgument(f"beta2 must be finite, got {self.beta2!r}")
 
 
 def _softplus(z):

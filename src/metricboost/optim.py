@@ -35,16 +35,20 @@ class Optimizer:
                  beta1=0.9, beta2=0.999, eps=1e-8):
         if kind not in MOMENTS:
             raise InvalidArgument(f"unknown optimizer kind {kind!r}")
-        if lr <= 0:
-            raise InvalidArgument("lr must be > 0")
-        # A decay of 1 or more zeroes Adam's bias correction 1 - beta^t, or
-        # grows the moments without bound; eps = 0 divides 0 by 0 wherever a
-        # gradient entry has been 0 on every step so far.
+        # Each check passes only inside its range, so NaN fails it too. An
+        # infinite lr writes inf or NaN into p; a decay of 1 or more zeroes
+        # Adam's bias correction 1 - beta^t, or grows the moments without
+        # bound; eps = 0 divides 0 by 0 wherever a gradient entry has been 0
+        # on every step so far, and eps = inf makes every update 0.
+        if not 0.0 < lr < np.inf:
+            raise InvalidArgument(f"lr must be finite and > 0, got {lr!r}")
         for name, value in (("momentum", momentum), ("beta1", beta1), ("beta2", beta2)):
             if not 0.0 <= value < 1.0:
                 raise InvalidArgument(f"{name} must be in [0, 1), got {value!r}")
         if not eps > 0:
             raise InvalidArgument(f"eps must be > 0, got {eps!r}")
+        if eps == np.inf:
+            raise InvalidArgument("eps must be finite, got inf")
         self.kind = kind
         self.lr = float(lr)
         self.momentum = float(momentum)

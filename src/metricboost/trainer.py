@@ -88,7 +88,6 @@ class TrainConfig:
     regressor_hidden: int = 512
     sim_normalizer: str = "d_j"
     reverse_target_path: bool = True
-    max_pairs_per_batch: int = 0
     eval_interval: int = 0
     eval_pairs: int = 1000
 
@@ -97,23 +96,25 @@ class TrainConfig:
             raise InvalidArgument(f"unknown diversity kind {self.diversity!r}")
         if self.partition not in PARTITION_MODES:
             raise InvalidArgument(f"unknown partition mode {self.partition!r}")
-        if self.lambda_div is not None and self.lambda_div < 0:
-            raise InvalidArgument("lambda_div must be >= 0")
-        if self.lambda_w < 0:
-            raise InvalidArgument("lambda_w must be >= 0")
+        # Each check passes only inside its range, so NaN fails it too.
+        for name, value in (("lambda_div", self.lambda_div), ("lambda_w", self.lambda_w)):
+            if value is not None and not 0.0 <= value < np.inf:
+                raise InvalidArgument(f"{name} must be finite and >= 0, got {value!r}")
+        if not np.isfinite(self.weight_exponent):
+            raise InvalidArgument(f"weight_exponent must be finite, got {self.weight_exponent!r}")
+        if self.eval_interval < 0:
+            raise InvalidArgument(f"eval_interval must be >= 0, got {self.eval_interval}")
         if self.batch_classes < 2:
             raise InvalidArgument("batch_classes must be >= 2")
         if self.samples_per_class < 2:
             raise InvalidArgument("samples_per_class must be >= 2")
         if self.iterations < 0:
             raise InvalidArgument("iterations must be >= 0")
-        if self.max_pairs_per_batch < 0:
-            raise InvalidArgument(
-                f"max_pairs_per_batch must be >= 0, got {self.max_pairs_per_batch}")
         if self.regressor_hidden < 1:
             raise InvalidArgument(f"regressor_hidden must be >= 1, got {self.regressor_hidden}")
         if self.backbone_dim < 0:
             raise InvalidArgument(f"backbone_dim must be >= 0, got {self.backbone_dim}")
+        self.loss_spec()  # refuses loss constants outside their ranges
 
     def loss_spec(self):
         return LossSpec(
@@ -151,15 +152,16 @@ class SampledBatch:
 
 
 def sample_batch(fs, batch_classes, samples_per_class, rng, mine="pairs",
-                 max_pairs=0, class_indices=None):
+                 class_indices=None):
     """Class-balanced batch plus exhaustively mined pairs or triplets.
 
-    Draws `batch_classes` classes without replacement, then
-    `samples_per_class` rows per class (with replacement only when the class
-    is smaller than requested). Pair mining enumerates every within-batch
-    positive pair and every cross-class negative pair; triplet mining pairs
-    each positive pair with one uniformly drawn negative. `max_pairs`
-    subsamples negatives when the full enumeration would exceed it.
+    Draws P = `batch_classes` classes without replacement, then
+    K = `samples_per_class` rows per class (with replacement only when the
+    class is smaller than requested). Pair mining takes all P*K*(K-1)/2
+    positive pairs, then every cross-class negative pair: n*(n-1)/2 pairs in
+    all for n = P*K rows. The gradient kernel works on the n x n Gram matrix,
+    so its cost does not depend on that count. Triplet mining pairs each
+    positive pair with one uniformly drawn negative.
     """
     if fs.n_classes < 2:
         raise InvalidArgument("need at least 2 classes to mine pairs")
@@ -189,12 +191,6 @@ def sample_batch(fs, batch_classes, samples_per_class, rng, mine="pairs",
     if mine == "pairs":
         pos_i, pos_j = iu[same], ju[same]
         neg_i, neg_j = iu[~same], ju[~same]
-        if max_pairs and len(pos_i) + len(neg_i) > max_pairs:
-            budget = max(0, max_pairs - len(pos_i))
-            if len(neg_i) > budget:
-                pick = rng.choice(len(neg_i), size=budget, replace=False)
-                pick.sort()
-                neg_i, neg_j = neg_i[pick], neg_j[pick]
         batch.pairs = PairBatch(
             np.concatenate([pos_i, neg_i]),
             np.concatenate([pos_j, neg_j]),
@@ -492,10 +488,8 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
     fh = None  # opened once the first step returns: a refused resume keeps the old file
     try:
         for it in range(start_iter, cfg.iterations):
-            batch = sample_batch(
-                fs, cfg.batch_classes, cfg.samples_per_class, rng,
-                mine=mine, max_pairs=cfg.max_pairs_per_batch, class_indices=class_idx,
-            )
+            batch = sample_batch(fs, cfg.batch_classes, cfg.samples_per_class, rng,
+                                 mine=mine, class_indices=class_idx)
             X = fs.features[batch.indices]
             try:
                 step = train_step(cfg, model, bank, opt, X, batch)

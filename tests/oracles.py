@@ -240,7 +240,7 @@ def per_learner_triplet_trace(spec, schedule, scores_pos, scores_neg):
     return acc_pos, acc_neg, w, losses, w * dpos, w * dneg
 
 
-def label_lookup_sample_batch(fs, P, K, rng, mine="pairs", max_pairs=0):
+def label_lookup_sample_batch(fs, P, K, rng, mine="pairs"):
     """`trainer.sample_batch` as it was before it mined from the class-block
     layout: same RNG calls, labels compared per pair, and each triplet
     negative read from its anchor class's pool of other-class rows."""
@@ -260,12 +260,6 @@ def label_lookup_sample_batch(fs, P, K, rng, mine="pairs", max_pairs=0):
     if mine == "pairs":
         pos_i, pos_j = iu[same], ju[same]
         neg_i, neg_j = iu[~same], ju[~same]
-        if max_pairs and len(pos_i) + len(neg_i) > max_pairs:
-            budget = max(0, max_pairs - len(pos_i))
-            if len(neg_i) > budget:
-                pick = rng.choice(len(neg_i), size=budget, replace=False)
-                pick.sort()
-                neg_i, neg_j = neg_i[pick], neg_j[pick]
         batch.pairs = PairBatch(
             np.concatenate([pos_i, neg_i]),
             np.concatenate([pos_j, neg_j]),

@@ -313,11 +313,11 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _mined(mine, max_pairs=0, seed=60):
+def _mined(mine, seed=60):
     """A P=4, K=3 batch mined from a synthetic set, with its feature rows."""
     fs = synth_gaussian(SynthSpec(classes=6, per_class=5, feature_dim=6,
                                   cluster_spread=3.0, noise=1.0, seed=seed))
-    b = sample_batch(fs, 4, 3, make_rng(seed), mine=mine, max_pairs=max_pairs)
+    b = sample_batch(fs, 4, 3, make_rng(seed), mine=mine)
     return fs.features[b.indices], (b.pairs if mine == "pairs" else b.triplets)
 
 
@@ -397,10 +397,14 @@ class TestGramKernelMatchesPerPairOracle:
         self._check(model, X, trip, LossSpec(kind="triplet", margin_triplet=0.5))
 
     def test_subsampled_batch(self):
-        X, pairs = _mined("pairs", max_pairs=20)
-        assert len(pairs) == 20
+        # A partial pair list: 20 of the batch's 66 pairs, positives and
+        # negatives mixed.
+        X, pairs = _mined("pairs")
+        pick = np.sort(make_rng(68).choice(len(pairs), size=20, replace=False))
+        part = PairBatch(pairs.index_a[pick], pairs.index_b[pick], pairs.y[pick])
+        assert 0 < part.y.sum() < 20
         model = _random_model(make_rng(68))
-        self._check(model, X, pairs, LossSpec())
+        self._check(model, X, part, LossSpec())
 
     def test_plain_route_is_one_group_view(self):
         X, pairs = _mined("pairs")

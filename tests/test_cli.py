@@ -90,6 +90,14 @@ class TestInit:
         assert code == 2
         assert "file not found" in capsys.readouterr().err
 
+    def test_non_finite_init_lr_exits_1(self, tmp_path, train_cfg, data_file, capsys):
+        ckpt = tmp_path / "init.ckpt"
+        code = main(["init", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(ckpt), "--set", "init_lr=nan"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: lr must be finite and > 0, got nan\n"
+        assert not ckpt.exists()
+
 
 class TestTrain:
     def test_train_writes_outputs(self, tmp_path, train_cfg, data_file):
@@ -242,30 +250,43 @@ class TestTrain:
         ("adam_beta1=1.5", "beta1 must be in [0, 1), got 1.5"),
         ("adam_beta2=1", "beta2 must be in [0, 1), got 1.0"),
         ("momentum=1", "momentum must be in [0, 1), got 1.0"),
+        ("adam_eps=inf", "eps must be finite, got inf"),
+        ("lr=nan", "lr must be finite and > 0, got nan"),
+        ("lr=inf", "lr must be finite and > 0, got inf"),
     ])
     def test_optimizer_setting_outside_its_range_exits_1(self, tmp_path, train_cfg,
                                                          data_file, capsys, setting, message):
-        ckpt = tmp_path / "o.ckpt"
+        ckpt, csv = tmp_path / "o.ckpt", tmp_path / "o.csv"
         code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
-                     "--out", str(ckpt), "--set", setting, "--set", "use_backbone=true",
-                     "--set", "iterations=1"])
+                     "--out", str(ckpt), "--metrics", str(csv), "--set", setting,
+                     "--set", "use_backbone=true", "--set", "iterations=1"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not ckpt.exists()
+        assert not ckpt.exists() and not csv.exists()
 
     @pytest.mark.parametrize("setting,message", [
-        ("max_pairs_per_batch=-1", "max_pairs_per_batch must be >= 0, got -1"),
         ("regressor_hidden=0", "regressor_hidden must be >= 1, got 0"),
         ("backbone_dim=-1", "backbone_dim must be >= 0, got -1"),
+        ("lambda_w=nan", "lambda_w must be finite and >= 0, got nan"),
+        ("lambda_div=nan", "lambda_div must be finite and >= 0, got nan"),
+        ("lambda_div=inf", "lambda_div must be finite and >= 0, got inf"),
+        ("weight_exponent=nan", "weight_exponent must be finite, got nan"),
+        ("eval_interval=-2", "eval_interval must be >= 0, got -2"),
+        ("beta1=nan", "beta1 must be finite and > 0, got nan"),
+        ("beta2=nan", "beta2 must be finite, got nan"),
+        ("margin_contrastive=nan", "margin_contrastive must be finite and >= 0, got nan"),
+        ("margin_triplet=inf", "margin_triplet must be finite and >= 0, got inf"),
+        ("cost_neg=nan", "cost_neg must be finite and > 0, got nan"),
     ])
     def test_train_setting_outside_its_range_exits_1(self, tmp_path, train_cfg, data_file,
                                                      capsys, setting, message):
-        ckpt = tmp_path / "o.ckpt"
+        ckpt, csv = tmp_path / "o.ckpt", tmp_path / "o.csv"
         code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
-                     "--out", str(ckpt), "--set", setting, "--set", "iterations=1"])
+                     "--out", str(ckpt), "--metrics", str(csv), "--set", setting,
+                     "--set", "iterations=1"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not ckpt.exists()
+        assert not ckpt.exists() and not csv.exists()
 
     def test_resume_from_checkpoint_with_bad_decay_exits_2(self, tmp_path, train_cfg,
                                                            data_file, capsys):
@@ -340,6 +361,16 @@ class TestEval:
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"])
         assert code == 1
         assert "embeddings must be finite" in capsys.readouterr().err
+
+    def test_non_finite_weight_exponent_exits_1(self, tmp_path, data_file, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_model(make_rng(0), 12, GroupPartition((4, 4))))
+        code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1",
+                     "--weight-exponent", "inf"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: weight_exponent must be finite, got inf\n"
+        assert captured.out == ""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_similarities_exit_1(self, tmp_path, train_cfg, data_file, capsys):

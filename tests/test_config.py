@@ -72,9 +72,11 @@ class TestBuildTrainConfig:
     @pytest.mark.parametrize("line,message", [
         ("eval_ks = 1 4", "unknown config key 'eval_ks'"),
         ("partition = explicit", "unknown partition mode 'explicit'"),
+        ("max_pairs_per_batch = 10", "unknown config key 'max_pairs_per_batch'"),
     ])
     def test_deleted_settings_are_refused(self, tmp_path, capsys, line, message):
-        # eval_ks changed no output; partition = explicit did what group_sizes does.
+        # eval_ks changed no output; partition = explicit did what group_sizes
+        # does; max_pairs_per_batch bounded no cost of the Gram-matrix kernel.
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"iterations = 5\n{line}\n")
         code = main(["train", "--data", str(tmp_path / "absent.bin"), "--config", str(cfg),

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import tracemalloc
 
@@ -141,30 +142,24 @@ class TestActivationMatchesFullOracle:
 
 
 class TestRegressor:
-    def test_zero_weights_output_bias(self):
-        reg = Regressor(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.array([1.5, -2.0]))
-        np.testing.assert_array_equal(reg.forward(np.ones(3)), [1.5, -2.0])
-
-    def test_rectifier_passthrough(self):
-        # Nonnegative W1 rows and nonnegative input keep the ReLU inactive,
-        # and an identity W2 slice reproduces W1 v.
-        W1 = np.array([[1.0, 2.0], [0.5, 0.0]])
-        reg = Regressor(W1, np.zeros(2), np.eye(2), np.zeros(2))
-        v = np.array([1.0, 3.0])
-        np.testing.assert_allclose(reg.forward(v), W1 @ v)
-
     def test_matches_composed_matvec_oracle(self):
+        # The regressor forward the adversarial loss runs, against
+        # g(v) = W2 relu(W1 v + b1) + b2 composed one sample at a time.
         rng = make_rng(61)
+        model = init_model(rng, 6, GroupPartition((3, 5)))
         reg = init_regressor(rng, d_in=5, d_out=3, hidden=7)
-        v = rng.standard_normal(5)
-        oracle = reg.W2 @ np.maximum(reg.W1 @ v + reg.b1, 0.0) + reg.b2
-        np.testing.assert_allclose(reg.forward(v), oracle, atol=1e-12)
-
-    def test_dim_mismatch(self):
-        rng = make_rng(62)
-        reg = init_regressor(rng, d_in=5, d_out=3, hidden=4)
-        with pytest.raises(InvalidArgument):
-            reg.forward(np.ones(4))
+        reg.b1[:] = rng.standard_normal(7)
+        reg.b2[:] = rng.standard_normal(3)
+        X = rng.standard_normal((4, 6))
+        F = X @ model.W
+        pre = F[:, 3:] @ reg.W1.T + reg.b1
+        assert (pre < 0).any() and (pre > 0).any()  # both sides of the ReLU
+        sim = 0.0
+        for u, v in zip(F[:, :3], F[:, 3:]):
+            g = reg.W2 @ np.maximum(reg.W1 @ v + reg.b1, 0.0) + reg.b2
+            sim += float(np.sum((u * g) ** 2))
+        got = adversarial_loss(model, RegressorBank({(0, 1): reg}), X, 0.0).sim_term
+        assert got == pytest.approx(sim / (5 * len(X)), rel=1e-12, abs=0.0)
 
     def test_bank_layout(self):
         rng = make_rng(63)
@@ -233,7 +228,7 @@ class TestAdversarialLoss:
         res = adversarial_loss(model, bank, X, lam)
         step = 1e-4
 
-        bank2 = bank.copy()
+        bank2 = copy.deepcopy(bank)
         for key in bank2.keys():
             rg = res.regressor_grads[key]
             reg = bank2[key]
@@ -284,7 +279,7 @@ class TestAdversarialLossMatchesFullOracle:
         model = init_model(rng, 10, proportional_partition(12, M),
                            backbone_in_dim=7 if backbone else None)
         dead = RegressorBank.create(rng, model.partition, hidden=5)  # zero biases
-        live = dead.copy()
+        live = copy.deepcopy(dead)
         for reg in live.regressors.values():  # >= 6 entries of +-0.5: |b|^2 > 1
             reg.b1[:] = rng.choice([-0.5, 0.5], reg.b1.shape)
             reg.b2[:] = rng.choice([-0.5, 0.5], reg.b2.shape)

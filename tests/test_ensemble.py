@@ -259,7 +259,7 @@ class TestBackbone:
         rng = make_rng(30)
         model = init_model(rng, 5, GroupPartition((2, 2)), backbone_in_dim=7)
         assert model.input_dim == 7
-        assert model.feature_dim == 5
+        assert model.W.shape[0] == 5
         x = rng.standard_normal(7)
         phi = model.embed_features(x)
         assert phi.shape == (5,)

@@ -121,6 +121,8 @@ class TestStep:
         ({"beta2": float("nan")}, "beta2 must be in [0, 1), got nan"),
         ({"eps": 0.0}, "eps must be > 0, got 0.0"),
         ({"eps": -1e-8}, "eps must be > 0, got -1e-08"),
+        ({"eps": float("inf")}, "eps must be finite, got inf"),
+        ({"lr": float("nan")}, "lr must be finite and > 0, got nan"),
     ])
     def test_decays_and_eps_outside_their_range_refused(self, kind, setting, message):
         with pytest.raises(InvalidArgument) as exc:
