@@ -115,7 +115,7 @@ def boost_forward_pair(schedule, scores):
     return acc
 
 
-def boost_backward_pair(spec, schedule, scores, y, signed=False):
+def boost_backward_pair(spec, schedule, scores, y):
     """Full forward + backward record for a pair batch.
 
     scores: (M,) or (n, M) per-learner cosine scores; y: scalar or (n,).
@@ -126,7 +126,7 @@ def boost_backward_pair(spec, schedule, scores, y, signed=False):
     y = np.asarray(y)[..., None]
     acc = boost_forward_pair(schedule, scores)
     w = np.ones_like(acc)
-    w[..., 1:] = boosting_weight_vec(spec, s=acc[..., :-1], y=y, signed=signed)
+    w[..., 1:] = boosting_weight_vec(spec, s=acc[..., :-1], y=y)
     losses, dloss = pair_loss_vec(spec, scores, y)
     return BoostTrace(
         scores=scores, acc=acc, weights=w, losses=losses, weighted_dloss=w * dloss
@@ -182,7 +182,7 @@ def _finish_gradient(model, X, dF, phi, pre):
     return grad_W, grad_bw, grad_bb
 
 
-def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_backbone):
+def _gram_gradient(model, part, schedule, features, batch, spec, train_backbone):
     """The gradient kernel behind both routes, for any grouping of the columns.
 
     Per group m: unit rows U_m = F_m / r_m and Gram matrix G_m = U_m U_m^T;
@@ -231,7 +231,7 @@ def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_b
 
     if isinstance(batch, PairBatch):
         rows, cols, y = rows[valid], cols[valid], y[valid]
-        trace = boost_backward_pair(spec, schedule, G[:, rows, cols].T, y, signed=signed)
+        trace = boost_backward_pair(spec, schedule, G[:, rows, cols].T, y)
         coeff = trace.weighted_dloss
     else:
         ia, ip, ineg = ia[valid], ip[valid], ineg[valid]
@@ -255,7 +255,7 @@ def _gram_gradient(model, part, schedule, features, batch, spec, signed, train_b
     return GradResult(grad_W, grad_bw, grad_bb, loss, n_used, n_skipped)
 
 
-def accumulate_W_gradient(model, features, batch, spec, signed=False, train_backbone=False):
+def accumulate_W_gradient(model, features, batch, spec, train_backbone=False):
     """Gradient of the mean reweighted metric loss over a mined batch.
 
     `features`: (n_samples, input_dim) raw inputs; `batch`: PairBatch or
@@ -266,7 +266,7 @@ def accumulate_W_gradient(model, features, batch, spec, signed=False, train_back
     raises NumericFailure.
     """
     return _gram_gradient(model, model.partition, model.schedule, features, batch,
-                          spec, signed, train_backbone)
+                          spec, train_backbone)
 
 
 def accumulate_plain_gradient(model, features, batch, spec, train_backbone=False):
@@ -277,4 +277,4 @@ def accumulate_plain_gradient(model, features, batch, spec, train_backbone=False
     """
     whole = GroupPartition((model.embedding_dim,))
     return _gram_gradient(model, whole, make_schedule(1), features, batch,
-                          spec, False, train_backbone)
+                          spec, train_backbone)

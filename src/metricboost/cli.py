@@ -88,8 +88,6 @@ def cmd_init(args):
         fs.features, model, kind, cfg.lambda_w,
         lr=extras["init_lr"], momentum=cfg.momentum,
         max_iterations=extras["init_iterations"],
-        sim_normalizer=cfg.sim_normalizer,
-        reverse_target_path=cfg.reverse_target_path,
         bank=bank,
     )
     col_sq = np.sum(model.W * model.W, axis=0)

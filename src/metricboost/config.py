@@ -35,18 +35,12 @@ TRAIN_KEYS = {
     "batch_classes": ("int", "classes per batch (P)"),
     "samples_per_class": ("int", "samples per class per batch (K)"),
     "seed": ("int", "master seed"),
-    "weight_exponent": ("float", "alpha exponent in the test embedding, finite"),
-    "renormalize_full": ("bool", "L2-normalize the concatenated test embedding"),
-    "boost_weight_signed": ("bool", "use signed -loss' weights instead of |loss'|"),
     "use_boosting": ("bool", "false trains one global loss (baseline)"),
     "use_backbone": ("bool", "put a trainable affine+ReLU layer before W"),
     "backbone_dim": ("int", "backbone output size, >= 0 (0 = feature dim)"),
     "backbone_trainable": ("bool", "false freezes the backbone (stagewise)"),
     "regressor_hidden": ("int", "adversarial regressor hidden size, >= 1"),
-    "sim_normalizer": ("str", "d_j | d_i similarity scaling"),
-    "reverse_target_path": ("bool", "also reverse the target-embedding path"),
     "eval_interval": ("int", "iterations between metric rows, >= 0 (0 = none)"),
-    "eval_pairs": ("int", "pairs used for classifier correlation"),
     "init_lr": ("float", "init solver learning rate, finite and > 0"),
     "init_iterations": ("int", "init solver iteration cap"),
 }

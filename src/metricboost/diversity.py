@@ -170,18 +170,14 @@ class AdversarialResult:
     @property
     def grad_W_sim_unreversed(self):
         """The similarity gradient without the reversal layer, built when read."""
-        return -_similarity_gradient(*self.chain, True)
+        return -_similarity_gradient(*self.chain)
 
 
-def _similarity_gradient(phi, dF_target, dF_source, reverse_target_path):
-    """The reversed similarity gradient phi.T @ dF_target + phi.T @ dF_source,
-    or source minus target when only the regressor-input path is reversed."""
+def _similarity_gradient(phi, dF_target, dF_source):
+    """The reversed similarity gradient phi.T @ dF_target + phi.T @ dF_source:
+    both the target path f_i and the regressor-input path f_j are reversed."""
     target = matmul(phi.T, dF_target)
-    source = matmul(phi.T, dF_source)
-    if not reverse_target_path:
-        source -= target
-        return source
-    target += source
+    target += matmul(phi.T, dF_source)
     return target
 
 
@@ -230,21 +226,18 @@ def _regressor_pair(reg, u, vj, norm, lambda_w):
     return sim, p1 + p2 + p_bias, du, dvj, Regressor(pen_W1, pen_b1, pen_W2, pen_b2)
 
 
-def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
-                     reverse_target_path=True):
+def adversarial_loss(model, bank, features, lambda_w):
     """Adversarial loss with regressor gradients and the reversed W gradient.
 
-    `sim_normalizer` picks the 1/d_j (default) or 1/d_i similarity scaling.
-    `reverse_target_path` controls whether the direct f_i path is also routed
-    through the reversal (default) or only the regressor-input f_j path.
-    Each penalty gradient is scaled by lambda_w in its own buffer, which then
-    takes the similarity term's gradient: every W-sized array is built once.
+    Each pair's similarity is scaled by 1/d_j, the size of the regressor's
+    input group j. The reversal covers both paths into the similarity: the
+    target group f_i and the regressor input f_j. Each penalty gradient is
+    scaled by lambda_w in its own buffer, which then takes the similarity
+    term's gradient: every W-sized array is built once.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InvalidArgument("adversarial loss needs a nonempty 2-D batch")
-    if sim_normalizer not in ("d_j", "d_i"):
-        raise InvalidArgument(f"unknown sim_normalizer {sim_normalizer!r}")
     part = model.partition
     if not bank.matches(part):
         raise InvalidArgument("regressor bank does not match the model partition")
@@ -260,15 +253,14 @@ def adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
     penalty = 0.0
 
     for (i, j) in bank.keys():
-        norm = float(sizes[j] if sim_normalizer == "d_j" else sizes[i])
         sim, pen, du, dvj, reg_grads[(i, j)] = _regressor_pair(
-            bank[(i, j)], F[:, slices[i]], F[:, slices[j]], norm, lambda_w)
+            bank[(i, j)], F[:, slices[i]], F[:, slices[j]], float(sizes[j]), lambda_w)
         sim_term += sim
         penalty += pen
         dF_target[:, slices[i]] += du
         dF_source[:, slices[j]] += dvj
 
-    grad_sim = _similarity_gradient(phi, dF_target, dF_source, reverse_target_path)
+    grad_sim = _similarity_gradient(phi, dF_target, dF_source)
     w_pen, grad_W = _unit_norm_penalty(model.W, 0)
     penalty += w_pen
     grad_W *= lambda_w

@@ -194,15 +194,31 @@ class EnsembleModel:
         return self._weight_groups(self.forward_batch(feats), weight_exponent, renormalize_full)
 
     def _weight_groups(self, full, weight_exponent, renormalize_full):
-        """Inference-time embeddings from raw batch outputs `full` (n, d)."""
+        """Inference-time embeddings from raw batch outputs `full` (n, d).
+
+        A group scale alpha_m ** weight_exponent that underflows to 0 or
+        overflows float64 raises InvalidArgument: it would zero the group or
+        fill it with inf.
+        """
+        scales = []
+        for m, alpha in enumerate(self.schedule.alpha):
+            try:
+                scale = alpha ** float(weight_exponent)
+            except OverflowError:
+                scale = np.inf
+            if not 0.0 < scale < np.inf:
+                raise InvalidArgument(
+                    f"weight_exponent {weight_exponent!r} takes the scale of group {m} "
+                    f"({alpha!r} ** {weight_exponent!r}) outside float64"
+                )
+            scales.append(scale)
         out = np.empty_like(full)
         for m, sl in enumerate(self.partition.slices()):
             norms = np.linalg.norm(full[:, sl], axis=1)
             if np.any(norms == 0.0):
                 bad = int(np.flatnonzero(norms == 0.0)[0])
                 raise DegenerateInput(f"group {m} produced a zero embedding for row {bad}")
-            scale = self.schedule.alpha[m] ** weight_exponent
-            np.multiply(scale, full[:, sl], out=out[:, sl])
+            np.multiply(scales[m], full[:, sl], out=out[:, sl])
             out[:, sl] /= norms[:, None]
         if renormalize_full:
             out /= np.linalg.norm(out, axis=1, keepdims=True)

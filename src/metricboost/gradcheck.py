@@ -139,7 +139,7 @@ def _random_setup(rng, h=7, d=6, M=3, n_samples=8, backbone=False):
             return model, X
 
 
-def _frozen_pair_objective(model, X, batch, spec, signed):
+def _frozen_pair_objective(model, X, batch, spec):
     """Objective with boosting weights frozen at the current forward pass."""
     F = model.forward_batch(X)
     part = model.partition
@@ -150,7 +150,7 @@ def _frozen_pair_objective(model, X, batch, spec, signed):
         ],
         axis=1,
     )
-    trace = boost_backward_pair(spec, model.schedule, scores, batch.y, signed=signed)
+    trace = boost_backward_pair(spec, model.schedule, scores, batch.y)
     frozen_w = trace.weights
 
     def objective(W):
@@ -246,7 +246,7 @@ def check_boosted_gradient(seed=3, n=50):
             model, X = _random_setup(rng, backbone=backbone)
             batch = _random_pairs(rng, X.shape[0], 10)
             res = accumulate_W_gradient(model, X, batch, spec, train_backbone=backbone)
-            obj = _frozen_pair_objective(model, X, batch, spec, signed=False)
+            obj = _frozen_pair_objective(model, X, batch, spec)
             worst = max(worst, check_gradient(obj, res.grad_W, model.W))
             if backbone:
                 bw = model.backbone.weight

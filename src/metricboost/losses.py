@@ -102,13 +102,12 @@ def triplet_loss_vec(spec, s_pos, s_neg):
     return np.maximum(v, 0.0), -active, active
 
 
-def boosting_weight_vec(spec, s=None, y=None, s_pos=None, s_neg=None, signed=False):
+def boosting_weight_vec(spec, s=None, y=None, s_pos=None, s_neg=None):
     """Difficulty weight for the next learner, from the loss derivative.
 
-    Pair losses: |dloss/ds| at the accumulated score by default. The signed
-    variant -dloss/ds is available for reproduction experiments; it goes
-    negative for negative pairs, flipping the descent direction of the
-    reweighted objective, which is why the magnitude is the default.
+    Pair losses: |dloss/ds| at the accumulated score. The magnitude keeps the
+    weight >= 0 for negative pairs too, whose derivative is positive, so
+    reweighting never flips a learner's descent direction.
     Triplet: -dloss/ds_pos, which the hinge makes exactly 0 or 1.
     """
     if spec.kind == "triplet":
@@ -119,5 +118,5 @@ def boosting_weight_vec(spec, s=None, y=None, s_pos=None, s_neg=None, signed=Fal
     if s is None or y is None:
         raise InvalidArgument("pair weight needs s and y")
     _, dloss = pair_loss_vec(spec, s, y)
-    return -dloss if signed else np.abs(dloss)
+    return np.abs(dloss)
 

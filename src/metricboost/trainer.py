@@ -49,6 +49,9 @@ METRICS_HEADER = "iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr"
 _INIT_TOL = 1e-6
 _INIT_TOL_WINDOW = 100
 
+# Pairs drawn for the classifier correlation of each metrics row.
+_EVAL_PAIRS = 1000
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -78,18 +81,12 @@ class TrainConfig:
     batch_classes: int = 4
     samples_per_class: int = 5
     seed: int = 0
-    weight_exponent: float = 1.0
-    renormalize_full: bool = False
-    boost_weight_signed: bool = False
     use_boosting: bool = True
     use_backbone: bool = False
     backbone_dim: int = 0
     backbone_trainable: bool = True
     regressor_hidden: int = 512
-    sim_normalizer: str = "d_j"
-    reverse_target_path: bool = True
     eval_interval: int = 0
-    eval_pairs: int = 1000
 
     def __post_init__(self):
         if self.diversity not in DIVERSITY_KINDS:
@@ -100,8 +97,6 @@ class TrainConfig:
         for name, value in (("lambda_div", self.lambda_div), ("lambda_w", self.lambda_w)):
             if value is not None and not 0.0 <= value < np.inf:
                 raise InvalidArgument(f"{name} must be finite and >= 0, got {value!r}")
-        if not np.isfinite(self.weight_exponent):
-            raise InvalidArgument(f"weight_exponent must be finite, got {self.weight_exponent!r}")
         if self.eval_interval < 0:
             raise InvalidArgument(f"eval_interval must be >= 0, got {self.eval_interval}")
         if self.batch_classes < 2:
@@ -114,15 +109,17 @@ class TrainConfig:
             raise InvalidArgument(f"regressor_hidden must be >= 1, got {self.regressor_hidden}")
         if self.backbone_dim < 0:
             raise InvalidArgument(f"backbone_dim must be >= 0, got {self.backbone_dim}")
-        self.loss_spec()  # refuses loss constants outside their ranges
-
-    def loss_spec(self):
-        return LossSpec(
+        # Built once, which also refuses loss constants outside their ranges;
+        # kept outside the dataclass fields, so it is no config key.
+        object.__setattr__(self, "_loss_spec", LossSpec(
             kind=self.loss, beta1=self.beta1, beta2=self.beta2,
             margin_contrastive=self.margin_contrastive,
             margin_triplet=self.margin_triplet,
             cost_pos=self.cost_pos, cost_neg=self.cost_neg,
-        )
+        ))
+
+    def loss_spec(self):
+        return self._loss_spec
 
     def resolved_lambda_div(self):
         if self.lambda_div is not None:
@@ -235,7 +232,7 @@ def _trained_arrays(W, backbone=None, bank=None):
     return arrays
 
 
-def _diversity(kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path):
+def _diversity(kind, model, bank, X, lambda_w):
     """The diversity loss `kind` at the current W and bank.
 
     Returns (loss, term, grad_W, bank_grads): `term` is the activation loss's
@@ -247,11 +244,7 @@ def _diversity(kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_pa
     if kind == "activation":
         div = activation_loss(model, X, lambda_w)
         return div.loss, div.sup_term, div.grad_W, None
-    div = adversarial_loss(
-        model, bank, X, lambda_w,
-        sim_normalizer=sim_normalizer,
-        reverse_target_path=reverse_target_path,
-    )
+    div = adversarial_loss(model, bank, X, lambda_w)
     return div.loss, div.sim_term, div.grad_W, div.regressor_grads
 
 
@@ -264,8 +257,7 @@ def train_step(cfg, model, bank, opt, features, batch):
     train_backbone = cfg.backbone_trainable and model.backbone is not None
     if cfg.use_boosting:
         res = accumulate_W_gradient(
-            model, features, mined, spec,
-            signed=cfg.boost_weight_signed, train_backbone=train_backbone,
+            model, features, mined, spec, train_backbone=train_backbone,
         )
     else:
         res = accumulate_plain_gradient(
@@ -283,7 +275,6 @@ def train_step(cfg, model, bank, opt, features, batch):
     if cfg.diversity != "none":
         loss_div, _, div_grad_W, div_bank_grads = _diversity(
             cfg.diversity, model, bank, features, cfg.lambda_w,
-            cfg.sim_normalizer, cfg.reverse_target_path,
         )
         if lam != 0.0:
             for g in _trained_arrays(div_grad_W, bank=div_bank_grads):
@@ -311,8 +302,7 @@ class InitResult:
 
 
 def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
-                max_iterations=5000, bank=None, sim_normalizer="d_j",
-                reverse_target_path=True):
+                max_iterations=5000, bank=None):
     """Minimize a diversity loss over W with SGD + momentum, features frozen.
 
     Stops at max_iterations or when the loss changes by less than _INIT_TOL
@@ -334,9 +324,7 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
     history = []
     initial_term = None
     for it in range(int(max_iterations)):
-        loss, term, grad_W, bank_grads = _diversity(
-            kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path,
-        )
+        loss, term, grad_W, bank_grads = _diversity(kind, model, bank, X, lambda_w)
         if not np.isfinite(loss):
             raise NumericFailure(f"init solver diverged at iteration {it}: loss={loss}")
         if initial_term is None:
@@ -352,9 +340,7 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
         if kind == "activation":
             term = _activation_forward(model, X)[-1]
         else:
-            term = _diversity(
-                kind, model, bank, X, lambda_w, sim_normalizer, reverse_target_path,
-            )[1]
+            term = _diversity(kind, model, bank, X, lambda_w)[1]
 
     col_sq = np.sum(model.W * model.W, axis=0)
     in_band = bool(np.all(np.abs(col_sq - 1.0) <= 1e-3))
@@ -420,8 +406,7 @@ def _open_metrics(path):
 
 def _eval_row(cfg, model, fs, iteration):
     return evaluate_model(
-        model, fs, ks=(1,), weight_exponent=cfg.weight_exponent,
-        renormalize_full=cfg.renormalize_full, n_eval_pairs=cfg.eval_pairs,
+        model, fs, ks=(1,), n_eval_pairs=_EVAL_PAIRS,
         pair_seed=cfg.seed * 1_000_003 + iteration,
     )
 

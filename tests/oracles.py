@@ -158,7 +158,7 @@ def _group_cosine(F, partition, idx_u, idx_v):
     return scores, grads_u, grads_v, valid
 
 
-def per_pair_gradient(model, X, batch, spec, signed=False, train_backbone=False):
+def per_pair_gradient(model, X, batch, spec, train_backbone=False):
     """Boosted gradient by per-item cosine gradient rows and np.add.at.
 
     Returns (grad_W, grad_backbone_weight, grad_backbone_bias, loss, n_used,
@@ -178,7 +178,7 @@ def per_pair_gradient(model, X, batch, spec, signed=False, train_backbone=False)
     if n_used == 0:
         return np.zeros_like(model.W), None, None, 0.0, 0, n_skipped
     if isinstance(batch, PairBatch):
-        trace = boost_backward_pair(spec, sched, cos[0][0][valid], batch.y[valid], signed=signed)
+        trace = boost_backward_pair(spec, sched, cos[0][0][valid], batch.y[valid])
         coeffs = [trace.weighted_dloss / n_used]
     else:
         trace = boost_step_triplet(spec, sched, cos[0][0][valid], cos[1][0][valid])
@@ -199,7 +199,7 @@ def per_pair_gradient(model, X, batch, spec, signed=False, train_backbone=False)
     return phi.T @ dF, dpre.T @ X, dpre.sum(axis=0), loss, n_used, n_skipped
 
 
-def per_learner_pair_trace(spec, schedule, scores, y, signed=False):
+def per_learner_pair_trace(spec, schedule, scores, y):
     """`boost_backward_pair` with a loss call per learner and a weight call
     per learner after the first. Returns (acc, weights, losses,
     weighted_dloss)."""
@@ -210,7 +210,7 @@ def per_learner_pair_trace(spec, schedule, scores, y, signed=False):
     w = np.empty_like(acc)
     w[..., 0] = 1.0
     for m in range(1, M):
-        w[..., m] = boosting_weight_vec(spec, s=acc[..., m - 1], y=y, signed=signed)
+        w[..., m] = boosting_weight_vec(spec, s=acc[..., m - 1], y=y)
     losses = np.empty_like(scores)
     dloss = np.empty_like(scores)
     for m in range(M):
@@ -347,8 +347,7 @@ class FullAdversarialResult:
     regressor_grads: RegressorBank
 
 
-def full_adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
-                          reverse_target_path=True):
+def full_adversarial_loss(model, bank, features, lambda_w):
     """The adversarial loss as computed before its W-sized tail and regressor
     gradients were built in place."""
     X = np.asarray(features, dtype=np.float64)
@@ -369,7 +368,7 @@ def full_adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
         reg = bank[(i, j)]
         u = F[:, slices[i]]
         vj = F[:, slices[j]]
-        norm = float(sizes[j] if sim_normalizer == "d_j" else sizes[i])
+        norm = float(sizes[j])
 
         pre = vj @ reg.W1.T + reg.b1
         hid = np.maximum(pre, 0.0)
@@ -414,10 +413,7 @@ def full_adversarial_loss(model, bank, features, lambda_w, sim_normalizer="d_j",
     grad_sim_target = matmul(phi.T, dF_target)
     grad_sim_source = matmul(phi.T, dF_source)
     grad_unrev = -(grad_sim_target + grad_sim_source)
-    if reverse_target_path:
-        grad_sim = grad_sim_target + grad_sim_source
-    else:
-        grad_sim = -grad_sim_target + grad_sim_source
+    grad_sim = grad_sim_target + grad_sim_source
 
     loss = -sim_term + lambda_w * penalty
     return FullAdversarialResult(
@@ -441,8 +437,7 @@ def scaled_mix_train_step(cfg, model, bank, opt, features, batch):
     if cfg.diversity == "activation":
         div = full_activation_loss(model, features, cfg.lambda_w)
     else:
-        div = full_adversarial_loss(model, bank, features, cfg.lambda_w,
-                                    cfg.sim_normalizer, cfg.reverse_target_path)
+        div = full_adversarial_loss(model, bank, features, cfg.lambda_w)
     params, grads = [model.W], [res.grad_W + lam * div.grad_W]
     for key in bank.keys() if cfg.diversity == "adversarial" else ():
         r = div.regressor_grads[key]

@@ -96,10 +96,13 @@ class TestBackwardPair:
         assert trace.weighted_dloss[0] == pytest.approx(dloss)
 
     def test_weight_after_first_stage(self):
-        # s^1 = s_1; w^2 = |dloss/ds| at s^1 = 0.5, y=1 -> 1.0
+        # s^1 = s_1; w^2 = |dloss/ds| at s^1 = 0.5: y=1 -> 1.0, and y=0 -> 25.0,
+        # the magnitude of a negative pair's positive derivative.
         spec = LossSpec()
         trace = boost_backward_pair(spec, make_schedule(2), [0.5, 0.0], 1)
         assert trace.weights[1] == pytest.approx(1.0, abs=1e-12)
+        trace = boost_backward_pair(spec, make_schedule(2), [0.5, 0.0], 0)
+        assert trace.weights[1] == pytest.approx(25.0)
 
     def test_all_perfect_batch_weight(self):
         # s^m = 1 for every stage; w^{m+1} = 2 * sigmoid(-1), oracle-checked
@@ -118,11 +121,6 @@ class TestBackwardPair:
             for s in grid
         ])
         assert np.all(np.diff(w) < 0.0)
-
-    def test_signed_weights(self):
-        spec = LossSpec()
-        trace = boost_backward_pair(spec, make_schedule(2), [0.5, 0.0], 0, signed=True)
-        assert trace.weights[1] == pytest.approx(-25.0)
 
 
 class TestTripletStep:
@@ -171,15 +169,18 @@ class TestTraceMatchesPerLearnerOracle:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["binomial_deviance", "contrastive"])
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_pairs(self, M, kind, signed):
+    @pytest.mark.parametrize("all_negative", [False, True])
+    def test_pairs(self, M, kind, all_negative):
         rng = make_rng(100 + M)
         spec, sched = LossSpec(kind=kind), make_schedule(M)
         for n in (1, 7, 64):
             scores, y = _scores(rng, n, M), rng.integers(0, 2, size=n)
-            t = boost_backward_pair(spec, sched, scores, y, signed=signed)
-            want = per_learner_pair_trace(spec, sched, scores, y, signed=signed)
+            if all_negative:
+                y[:] = 0
+            t = boost_backward_pair(spec, sched, scores, y)
+            want = per_learner_pair_trace(spec, sched, scores, y)
             assert _same_bytes((t.acc, t.weights, t.losses, t.weighted_dloss), want)
+            assert np.all(t.weights >= 0.0)  # |dloss|, also for negative pairs
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_triplets(self, M):
@@ -335,10 +336,9 @@ def _one_group_zero_rows(rng):
 class TestGramKernelMatchesPerPairOracle:
     """The Gram-matrix kernel against the per-item rows + np.add.at oracle."""
 
-    def _check(self, model, X, batch, spec, signed=False, train_backbone=False):
-        got = accumulate_W_gradient(model, X, batch, spec, signed=signed,
-                                    train_backbone=train_backbone)
-        want = per_pair_gradient(model, X, batch, spec, signed, train_backbone)
+    def _check(self, model, X, batch, spec, train_backbone=False):
+        got = accumulate_W_gradient(model, X, batch, spec, train_backbone=train_backbone)
+        want = per_pair_gradient(model, X, batch, spec, train_backbone)
         assert _rel(got.grad_W, want[0]) <= 1e-12
         if train_backbone:
             assert _rel(got.grad_backbone_weight, want[1]) <= 1e-12
@@ -359,11 +359,6 @@ class TestGramKernelMatchesPerPairOracle:
         X, triplets = _mined("triplets")
         model = _random_model(make_rng(62))
         self._check(model, X, triplets, LossSpec(kind="triplet", margin_triplet=0.3))
-
-    def test_signed_weights(self):
-        X, pairs = _mined("pairs")
-        model = _random_model(make_rng(63))
-        self._check(model, X, pairs, LossSpec(), signed=True)
 
     @pytest.mark.parametrize("mine", ["pairs", "triplets"])
     def test_trainable_backbone(self, mine):

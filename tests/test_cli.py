@@ -270,7 +270,6 @@ class TestTrain:
         ("lambda_w=nan", "lambda_w must be finite and >= 0, got nan"),
         ("lambda_div=nan", "lambda_div must be finite and >= 0, got nan"),
         ("lambda_div=inf", "lambda_div must be finite and >= 0, got inf"),
-        ("weight_exponent=nan", "weight_exponent must be finite, got nan"),
         ("eval_interval=-2", "eval_interval must be >= 0, got -2"),
         ("beta1=nan", "beta1 must be finite and > 0, got nan"),
         ("beta2=nan", "beta2 must be finite, got nan"),
@@ -371,6 +370,25 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.err == "error: weight_exponent must be finite, got inf\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("exponent", [
+        "1e300",  # both group scales underflow to 0
+        "800",  # (1/3) ** 800 underflows, (2/3) ** 800 does not
+        "-1e300",  # (1/3) ** -1e300 overflows
+    ])
+    def test_weight_exponent_outside_float64_exits_1(self, tmp_path, data_file, capsys,
+                                                     exponent):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_model(make_rng(0), 12, GroupPartition((4, 4))))
+        code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1",
+                     f"--weight-exponent={exponent}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: weight_exponent ")
+        assert f"{float(exponent)!r}" in lines[0] and "group 0" in lines[0]
+        assert "Traceback" not in captured.err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_similarities_exit_1(self, tmp_path, train_cfg, data_file, capsys):

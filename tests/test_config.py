@@ -73,10 +73,19 @@ class TestBuildTrainConfig:
         ("eval_ks = 1 4", "unknown config key 'eval_ks'"),
         ("partition = explicit", "unknown partition mode 'explicit'"),
         ("max_pairs_per_batch = 10", "unknown config key 'max_pairs_per_batch'"),
+        ("boost_weight_signed = true", "unknown config key 'boost_weight_signed'"),
+        ("sim_normalizer = d_i", "unknown config key 'sim_normalizer'"),
+        ("reverse_target_path = false", "unknown config key 'reverse_target_path'"),
+        ("weight_exponent = 0.5", "unknown config key 'weight_exponent'"),
+        ("renormalize_full = true", "unknown config key 'renormalize_full'"),
+        ("eval_pairs = 300", "unknown config key 'eval_pairs'"),
     ])
     def test_deleted_settings_are_refused(self, tmp_path, capsys, line, message):
         # eval_ks changed no output; partition = explicit did what group_sizes
         # does; max_pairs_per_batch bounded no cost of the Gram-matrix kernel.
+        # Signed boosting weights, 1/d_i similarity scaling and source-only
+        # reversal were variants no run used; the eval options of the metrics
+        # rows are set on the eval subcommand only.
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"iterations = 5\n{line}\n")
         code = main(["train", "--data", str(tmp_path / "absent.bin"), "--config", str(cfg),

@@ -144,7 +144,8 @@ class TestActivationMatchesFullOracle:
 class TestRegressor:
     def test_matches_composed_matvec_oracle(self):
         # The regressor forward the adversarial loss runs, against
-        # g(v) = W2 relu(W1 v + b1) + b2 composed one sample at a time.
+        # g(v) = W2 relu(W1 v + b1) + b2 composed one sample at a time. The
+        # similarity is scaled by 1/d_j: the source group's 5, not d_i = 3.
         rng = make_rng(61)
         model = init_model(rng, 6, GroupPartition((3, 5)))
         reg = init_regressor(rng, d_in=5, d_out=3, hidden=7)
@@ -199,27 +200,6 @@ class TestAdversarialLoss:
         model, bank, X = self._setup(seed=71)
         res = adversarial_loss(model, bank, X, 0.8)
         np.testing.assert_array_equal(res.grad_W_sim, -res.grad_W_sim_unreversed)
-
-    def test_reverse_target_path_flag(self):
-        model, bank, X = self._setup(seed=72)
-        both = adversarial_loss(model, bank, X, 0.5, reverse_target_path=True)
-        source_only = adversarial_loss(model, bank, X, 0.5, reverse_target_path=False)
-        # The two modes agree on the source-group columns and differ in sign
-        # on the target-group columns.
-        sl_target = model.partition.slices()[0]
-        sl_source = model.partition.slices()[1]
-        np.testing.assert_allclose(
-            both.grad_W_sim[:, sl_source], source_only.grad_W_sim[:, sl_source], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            both.grad_W_sim[:, sl_target], -source_only.grad_W_sim[:, sl_target], atol=1e-15
-        )
-
-    def test_sim_normalizer_flag(self):
-        model, bank, X = self._setup(seed=73, sizes=(2, 4))
-        dj = adversarial_loss(model, bank, X, 0.0, sim_normalizer="d_j")
-        di = adversarial_loss(model, bank, X, 0.0, sim_normalizer="d_i")
-        assert di.sim_term == pytest.approx(dj.sim_term * 4.0 / 2.0)
 
     def test_regressor_ascent_and_embedding_descent(self):
         # First-order check of the minimax directions on a fixed instance.
@@ -285,10 +265,9 @@ class TestAdversarialLossMatchesFullOracle:
             reg.b2[:] = rng.choice([-0.5, 0.5], reg.b2.shape)
         X = rng.standard_normal((n, model.input_dim))
         zero_bias_grads = 0
-        for bank, lambda_w, normalizer, reverse in itertools.product(
-                (dead, live), (0.0, 0.7, 1e4), ("d_j", "d_i"), (True, False)):
-            new = adversarial_loss(model, bank, X, lambda_w, normalizer, reverse)
-            old = full_adversarial_loss(model, bank, X, lambda_w, normalizer, reverse)
+        for bank, lambda_w in itertools.product((dead, live), (0.0, 0.7, 1e4)):
+            new = adversarial_loss(model, bank, X, lambda_w)
+            old = full_adversarial_loss(model, bank, X, lambda_w)
             assert repr((new.loss, new.sim_term, new.weight_term)) == repr(
                 (old.loss, old.sim_term, old.weight_term))
             for name in ("grad_W", "grad_W_sim", "grad_W_sim_unreversed"):

@@ -175,10 +175,3 @@ class TestBoostingWeight:
                 spec, s=rng.uniform(-1, 1, size=200), y=rng.integers(0, 2, size=200)
             )
             assert np.all(w >= 0.0)
-
-    def test_signed_variant(self):
-        # Signed weights go negative for negative pairs (descent flips there).
-        w = boosting_weight_vec(
-            LossSpec(), s=np.array([0.5, 0.5]), y=np.array([0, 1]), signed=True
-        )
-        np.testing.assert_allclose(w, [-25.0, 1.0])
