@@ -28,7 +28,7 @@ import numpy as np
 
 # cosine_sim_grad_batch is not called here; it stays bound in this module
 # because perfbench/spans.py patches it by this module's name.
-from .ensemble import GroupPartition, cosine_sim_grad_batch, make_schedule  # noqa: F401
+from .ensemble import Backbone, GroupPartition, cosine_sim_grad_batch, make_schedule  # noqa: F401
 from .errors import InvalidArgument, NumericFailure
 from .losses import boosting_weight_vec, pair_loss_vec, triplet_loss_vec
 
@@ -159,30 +159,28 @@ def boost_step_triplet(spec, schedule, scores_pos, scores_neg):
 @dataclass
 class GradResult:
     grad_W: np.ndarray
-    grad_backbone_weight: np.ndarray | None
-    grad_backbone_bias: np.ndarray | None
+    grad_backbone: Backbone | None  # the backbone's gradients, when it has one
     loss: float  # mean reweighted metric loss over used items
     n_used: int
     n_skipped: int
 
 
-def _finish_gradient(model, X, dF, phi, pre):
-    """Chain dL/dF back into W and, when `pre` is given, the backbone.
+def _finish_gradient(model, X, dF, phi):
+    """Chain dL/dF back into W and, when the model has one, the backbone.
 
-    `phi` is the embedding input of the forward pass and `pre` the backbone's
-    pre-activations, so the chain reuses them instead of a second forward.
+    `phi` is the embedding input of the forward pass, so the chain reuses it
+    instead of a second forward: the ReLU passes gradient where phi > 0,
+    which is exactly where its pre-activation is > 0.
     """
     grad_W = phi.T @ dF
-    if pre is None:
-        return grad_W, None, None
+    if model.backbone is None:
+        return grad_W, None
     dphi = dF @ model.W.T
-    dpre = dphi * (pre > 0.0)
-    grad_bw = dpre.T @ X
-    grad_bb = dpre.sum(axis=0)
-    return grad_W, grad_bw, grad_bb
+    dpre = dphi * (phi > 0.0)
+    return grad_W, Backbone(dpre.T @ X, dpre.sum(axis=0))
 
 
-def _gram_gradient(model, part, schedule, features, batch, spec, train_backbone):
+def _gram_gradient(model, part, schedule, features, batch, spec):
     """The gradient kernel behind both routes, for any grouping of the columns.
 
     Per group m: unit rows U_m = F_m / r_m and Gram matrix G_m = U_m U_m^T;
@@ -191,13 +189,7 @@ def _gram_gradient(model, part, schedule, features, batch, spec, train_backbone)
     the embedding gradient is dF_m = (S_m U_m - rowsum(S_m * G_m) U_m) / r_m.
     """
     X = np.asarray(features, dtype=np.float64)
-    pre = None
-    if train_backbone and model.backbone is not None:
-        if X.shape[-1] != model.input_dim:
-            raise InvalidArgument(f"input has dim {X.shape[-1]}, model expects {model.input_dim}")
-        phi, pre = model.backbone.forward(X)
-    else:
-        phi = model.embed_features(X)
+    phi = model.embed_features(X)
     F = phi @ model.W
     n = len(F)
     slices = part.slices()
@@ -227,7 +219,11 @@ def _gram_gradient(model, part, schedule, features, batch, spec, train_backbone)
     n_used = int(valid.sum())
     n_skipped = len(valid) - n_used
     if n_used == 0:
-        return GradResult(np.zeros_like(model.W), None, None, 0.0, 0, n_skipped)
+        grad_backbone = None
+        if model.backbone is not None:
+            grad_backbone = Backbone(np.zeros_like(model.backbone.weight),
+                                     np.zeros_like(model.backbone.bias))
+        return GradResult(np.zeros_like(model.W), grad_backbone, 0.0, 0, n_skipped)
 
     if isinstance(batch, PairBatch):
         rows, cols, y = rows[valid], cols[valid], y[valid]
@@ -251,11 +247,11 @@ def _gram_gradient(model, part, schedule, features, batch, spec, train_backbone)
         radial = np.einsum("ij,ij->i", S[m], G[m])
         dF[:, sl] = (S[m] @ U[:, sl] - radial[:, None] * U[:, sl]) / norms[:, m, None]
 
-    grad_W, grad_bw, grad_bb = _finish_gradient(model, X, dF, phi, pre)
-    return GradResult(grad_W, grad_bw, grad_bb, loss, n_used, n_skipped)
+    grad_W, grad_backbone = _finish_gradient(model, X, dF, phi)
+    return GradResult(grad_W, grad_backbone, loss, n_used, n_skipped)
 
 
-def accumulate_W_gradient(model, features, batch, spec, train_backbone=False):
+def accumulate_W_gradient(model, features, batch, spec):
     """Gradient of the mean reweighted metric loss over a mined batch.
 
     `features`: (n_samples, input_dim) raw inputs; `batch`: PairBatch or
@@ -263,18 +259,18 @@ def accumulate_W_gradient(model, features, batch, spec, train_backbone=False):
     current forward pass and frozen; the returned gradient is exact for the
     objective with those weights held constant. Items with a zero-norm group
     embedding are dropped and counted in n_skipped; a non-finite group norm
-    raises NumericFailure.
+    raises NumericFailure. The gradient reaches W and, when the model has
+    one, the backbone.
     """
-    return _gram_gradient(model, model.partition, model.schedule, features, batch,
-                          spec, train_backbone)
+    return _gram_gradient(model, model.partition, model.schedule, features, batch, spec)
 
 
-def accumulate_plain_gradient(model, features, batch, spec, train_backbone=False):
+def accumulate_plain_gradient(model, features, batch, spec):
     """Baseline route: one global loss on the full embedding, no reweighting.
 
     The same kernel on a one-group view of the model (all d columns, one
-    learner), so at M=1 it is bit-identical to the boosted route.
+    learner), so at M=1 it is bit-identical to the boosted route. Like the
+    boosted route, it trains W and the backbone when there is one.
     """
     whole = GroupPartition((model.embedding_dim,))
-    return _gram_gradient(model, whole, make_schedule(1), features, batch,
-                          spec, train_backbone)
+    return _gram_gradient(model, whole, make_schedule(1), features, batch, spec)

@@ -36,9 +36,7 @@ TRAIN_KEYS = {
     "samples_per_class": ("int", "samples per class per batch (K)"),
     "seed": ("int", "master seed"),
     "use_boosting": ("bool", "false trains one global loss (baseline)"),
-    "use_backbone": ("bool", "put a trainable affine+ReLU layer before W"),
-    "backbone_dim": ("int", "backbone output size, >= 0 (0 = feature dim)"),
-    "backbone_trainable": ("bool", "false freezes the backbone (stagewise)"),
+    "use_backbone": ("bool", "affine+ReLU layer of the feature width before W, trained with W"),
     "regressor_hidden": ("int", "adversarial regressor hidden size, >= 1"),
     "eval_interval": ("int", "iterations between metric rows, >= 0 (0 = none)"),
     "init_lr": ("float", "init solver learning rate, finite and > 0"),

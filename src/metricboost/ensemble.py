@@ -127,10 +127,10 @@ class Backbone:
         return self.weight.shape[0]
 
     def forward(self, x):
-        """x: (in_dim,) or (n, in_dim). Returns (activations, pre-activations),
-        both shaped like the output; the latter feeds the ReLU mask."""
+        """x: (in_dim,) or (n, in_dim). Returns the activations, shaped like the
+        output; an activation is > 0 exactly where its pre-activation is."""
         pre = np.asarray(x, dtype=np.float64) @ self.weight.T + self.bias
-        return np.maximum(pre, 0.0), pre
+        return np.maximum(pre, 0.0)
 
 
 def init_backbone(rng, in_dim, out_dim):
@@ -175,30 +175,33 @@ class EnsembleModel:
             raise InvalidArgument(
                 f"input has dim {x.shape[-1]}, model expects {self.input_dim}"
             )
-        return self.backbone.forward(x)[0] if self.backbone is not None else x
+        return self.backbone.forward(x) if self.backbone is not None else x
 
     def forward_batch(self, x):
         """Raw embeddings for a batch: (n, input_dim) -> (n, d)."""
         return matmul(self.embed_features(x), self.W)
 
-    def test_embeddings(self, x, weight_exponent=1.0, renormalize_full=False):
+    def test_embeddings(self, x):
         """Concatenated inference-time embeddings: (n, input_dim) -> (n, d).
 
-        Each group output is L2-normalized and scaled by alpha^weight_exponent.
-        Exponent 1.0 matches the stated weighting; 0.5 makes dot products of two
-        embeddings equal the ensemble score sum(alpha_m * s_m) exactly.
+        Each group output is L2-normalized and scaled by alpha_m, with no
+        renormalization of the whole: the weighting `evaluate_model` uses by
+        default.
         """
         feats = np.asarray(x, dtype=np.float64)
         if feats.ndim != 2:
             raise InvalidArgument("expected a 2-D batch of feature rows")
-        return self._weight_groups(self.forward_batch(feats), weight_exponent, renormalize_full)
+        return self._weight_groups(self.forward_batch(feats), 1.0, False)
 
     def _weight_groups(self, full, weight_exponent, renormalize_full):
         """Inference-time embeddings from raw batch outputs `full` (n, d).
 
-        A group scale alpha_m ** weight_exponent that underflows to 0 or
-        overflows float64 raises InvalidArgument: it would zero the group or
-        fill it with inf.
+        Each group is L2-normalized and scaled by alpha_m ** weight_exponent.
+        Exponent 1.0 matches the stated weighting; 0.5 makes dot products of
+        two embeddings equal the ensemble score sum(alpha_m * s_m) exactly.
+        `renormalize_full` then scales each whole row to unit norm. A group
+        scale that underflows to 0 or overflows float64 raises
+        InvalidArgument: it would zero the group or fill it with inf.
         """
         scales = []
         for m, alpha in enumerate(self.schedule.alpha):

@@ -145,11 +145,13 @@ def feature_correlation(F, partition):
     safe = np.where(valid, norms, 1.0)
     Z = centered / safe
     corr = Z.T @ Z
-    iu, ju = np.triu_indices(d, k=1)
-    mask = (group_of[iu] != group_of[ju]) & valid[iu] & valid[ju]
+    # Groups are contiguous and ascending, so entry (i, j) is a cross-group
+    # pair with i < j exactly when group(i) < group(j): the mask picks the
+    # upper triangle's cross-group entries in row-major order.
+    mask = (group_of[:, None] < group_of) & valid[:, None] & valid
     if not mask.any():
         raise UndefinedCorrelation("no usable cross-group dimension pairs")
-    vals = np.abs(corr[iu[mask], ju[mask]])
+    vals = np.abs(corr[mask])
     return float(np.clip(vals, 0.0, 1.0).mean())
 
 

@@ -245,7 +245,7 @@ def check_boosted_gradient(seed=3, n=50):
         for _ in range(n):
             model, X = _random_setup(rng, backbone=backbone)
             batch = _random_pairs(rng, X.shape[0], 10)
-            res = accumulate_W_gradient(model, X, batch, spec, train_backbone=backbone)
+            res = accumulate_W_gradient(model, X, batch, spec)
             obj = _frozen_pair_objective(model, X, batch, spec)
             worst = max(worst, check_gradient(obj, res.grad_W, model.W))
             if backbone:
@@ -258,7 +258,7 @@ def check_boosted_gradient(seed=3, n=50):
                     model.backbone.weight = old
                     return val
 
-                worst = max(worst, check_gradient(obj_b, res.grad_backbone_weight, bw))
+                worst = max(worst, check_gradient(obj_b, res.grad_backbone.weight, bw))
         label = "accumulate_W_gradient[pairs%s]" % ("+backbone" if backbone else "")
         results.append(CheckResult("boosting", f"{label}[{kind}]", worst, 1e-5, n))
 

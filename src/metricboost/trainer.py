@@ -2,7 +2,7 @@
 
 A training step optimizes  L = L_metric + lambda_div * L_div  where L_metric
 is the boosted pair/triplet loss and L_div an optional diversity regularizer.
-The metric gradient reaches W and (when trainable) the backbone; the
+The metric gradient reaches W and the backbone, when there is one; the
 diversity gradient reaches W only, plus the regressor bank for the
 adversarial kind. Everything is driven by one seeded generator so that a run
 is a pure function of (seed, config, data), and checkpoints capture enough
@@ -24,7 +24,6 @@ from .boosting import (
 )
 from .diversity import RegressorBank, _activation_forward, activation_loss, adversarial_loss
 from .ensemble import (
-    Backbone,
     EnsembleModel,
     GroupPartition,
     init_model,
@@ -83,8 +82,6 @@ class TrainConfig:
     seed: int = 0
     use_boosting: bool = True
     use_backbone: bool = False
-    backbone_dim: int = 0
-    backbone_trainable: bool = True
     regressor_hidden: int = 512
     eval_interval: int = 0
 
@@ -107,8 +104,6 @@ class TrainConfig:
             raise InvalidArgument("iterations must be >= 0")
         if self.regressor_hidden < 1:
             raise InvalidArgument(f"regressor_hidden must be >= 1, got {self.regressor_hidden}")
-        if self.backbone_dim < 0:
-            raise InvalidArgument(f"backbone_dim must be >= 0, got {self.backbone_dim}")
         # Built once, which also refuses loss constants outside their ranges;
         # kept outside the dataclass fields, so it is no config key.
         object.__setattr__(self, "_loss_spec", LossSpec(
@@ -254,20 +249,12 @@ def train_step(cfg, model, bank, opt, features, batch):
     mined = batch.triplets if spec.kind == "triplet" else batch.pairs
     if mined is None:
         raise InvalidArgument("batch was mined for a different loss family")
-    train_backbone = cfg.backbone_trainable and model.backbone is not None
     if cfg.use_boosting:
-        res = accumulate_W_gradient(
-            model, features, mined, spec, train_backbone=train_backbone,
-        )
+        res = accumulate_W_gradient(model, features, mined, spec)
     else:
-        res = accumulate_plain_gradient(
-            model, features, mined, spec, train_backbone=train_backbone,
-        )
+        res = accumulate_plain_gradient(model, features, mined, spec)
 
     grad_W = res.grad_W
-    backbone_grads = None
-    if train_backbone:
-        backbone_grads = Backbone(res.grad_backbone_weight, res.grad_backbone_bias)
     bank_grads = None
 
     loss_div = 0.0
@@ -283,9 +270,8 @@ def train_step(cfg, model, bank, opt, features, batch):
             bank_grads = div_bank_grads
 
     opt.step(
-        _trained_arrays(model.W, model.backbone if train_backbone else None,
-                        bank if bank_grads is not None else None),
-        _trained_arrays(grad_W, backbone_grads, bank_grads),
+        _trained_arrays(model.W, model.backbone, bank if bank_grads is not None else None),
+        _trained_arrays(grad_W, res.grad_backbone, bank_grads),
     )
     return StepResult(res.loss, loss_div, res.n_used, res.n_skipped)
 
@@ -301,8 +287,8 @@ class InitResult:
     norms_in_band: bool
 
 
-def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
-                max_iterations=5000, bank=None):
+def init_solver(features, model, kind, lambda_w, *, lr, max_iterations, momentum=0.9,
+                bank=None):
     """Minimize a diversity loss over W with SGD + momentum, features frozen.
 
     Stops at max_iterations or when the loss changes by less than _INIT_TOL
@@ -361,9 +347,8 @@ def init_solver(features, model, kind, lambda_w, lr=0.01, momentum=0.9,
 def build_model(cfg, feature_dim, rng):
     """Fresh model (and bank, when adversarial diversity is on) from a config."""
     part = cfg.resolve_partition()
-    h = cfg.backbone_dim if (cfg.use_backbone and cfg.backbone_dim > 0) else feature_dim
     backbone_in = feature_dim if cfg.use_backbone else None
-    model = init_model(rng, h, part, backbone_in_dim=backbone_in)
+    model = init_model(rng, feature_dim, part, backbone_in_dim=backbone_in)
     return model, _build_bank(cfg, part)
 
 

@@ -18,7 +18,9 @@ the earlier activation `init_solver` loop, which evaluates that loss once
 more after its last iteration; `full_adversarial_loss`, the earlier
 adversarial loss that builds every W-sized sum as a new array, and
 `scaled_mix_train_step`, the earlier `train_step` mixing of the diversity
-gradients through new arrays.
+gradients through new arrays; and `triu_feature_correlation`, the earlier
+`feature_correlation` that gathers cross-group pairs through
+`np.triu_indices`.
 """
 
 from dataclasses import dataclass
@@ -36,6 +38,7 @@ from metricboost.boosting import (
 )
 from metricboost.diversity import ActivationResult, Regressor, RegressorBank
 from metricboost.ensemble import cosine_sim_grad_batch
+from metricboost.errors import InvalidArgument, UndefinedCorrelation
 from metricboost.evaluate import recall_at_k
 from metricboost.linalg import matmul
 from metricboost.losses import boosting_weight_vec, pair_loss_vec, triplet_loss_vec
@@ -158,11 +161,12 @@ def _group_cosine(F, partition, idx_u, idx_v):
     return scores, grads_u, grads_v, valid
 
 
-def per_pair_gradient(model, X, batch, spec, train_backbone=False):
+def per_pair_gradient(model, X, batch, spec):
     """Boosted gradient by per-item cosine gradient rows and np.add.at.
 
     Returns (grad_W, grad_backbone_weight, grad_backbone_bias, loss, n_used,
-    n_skipped), the fields of `metricboost.boosting.GradResult`.
+    n_skipped): the fields of `metricboost.boosting.GradResult`, with the
+    backbone's two gradients (None without a backbone) unpacked.
     """
     F = model.forward_batch(X)
     part, sched = model.partition, model.schedule
@@ -192,9 +196,11 @@ def per_pair_gradient(model, X, batch, spec, train_backbone=False):
         np.add.at(dF, u[valid], rows_u)
         np.add.at(dF, v[valid], rows_v)
     loss = float(np.mean(np.sum(trace.weights * trace.losses, axis=-1)))
-    if not (train_backbone and model.backbone is not None):
+    if model.backbone is None:
         return model.embed_features(X).T @ dF, None, None, loss, n_used, n_skipped
-    phi, pre = model.backbone.forward(X)
+    # Pre-activations computed here, not read from the backbone's forward.
+    pre = X @ model.backbone.weight.T + model.backbone.bias
+    phi = np.maximum(pre, 0.0)
     dpre = (dF @ model.W.T) * (pre > 0.0)
     return phi.T @ dF, dpre.T @ X, dpre.sum(axis=0), loss, n_used, n_skipped
 
@@ -444,3 +450,29 @@ def scaled_mix_train_step(cfg, model, bank, opt, features, batch):
         params += [bank[key].W1, bank[key].b1, bank[key].W2, bank[key].b2]
         grads += [lam * r.W1, lam * r.b1, lam * r.W2, lam * r.b2]
     opt.step(params, grads)
+
+
+def triu_feature_correlation(F, partition):
+    """Mean |Pearson| over all cross-group dimension pairs, the pairs gathered
+    with `np.triu_indices` and a group comparison of their two ends."""
+    if partition.num_groups < 2:
+        raise InvalidArgument("feature correlation needs at least 2 groups")
+    F = np.asarray(F, dtype=np.float64)
+    n, d = F.shape
+    if n < 2:
+        raise InvalidArgument("need at least 2 samples")
+    centered = F - F.mean(axis=0)
+    norms = np.linalg.norm(centered, axis=0)
+    valid = norms > 0.0
+    group_of = np.empty(d, dtype=np.intp)
+    for m, sl in enumerate(partition.slices()):
+        group_of[sl] = m
+    safe = np.where(valid, norms, 1.0)
+    Z = centered / safe
+    corr = Z.T @ Z
+    iu, ju = np.triu_indices(d, k=1)
+    mask = (group_of[iu] != group_of[ju]) & valid[iu] & valid[ju]
+    if not mask.any():
+        raise UndefinedCorrelation("no usable cross-group dimension pairs")
+    vals = np.abs(corr[iu[mask], ju[mask]])
+    return float(np.clip(vals, 0.0, 1.0).mean())

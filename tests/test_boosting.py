@@ -267,19 +267,7 @@ class TestAccumulateGradient:
         for r in results:
             assert r.worst_rel < 1e-5, r
 
-    def test_backbone_gradients_returned_only_when_trainable(self):
-        rng = make_rng(54)
-        model = _random_model(rng, backbone=True)
-        X = rng.standard_normal((4, 7))
-        batch = PairBatch(np.array([0, 2]), np.array([1, 3]), np.array([1, 0]))
-        frozen = accumulate_W_gradient(model, X, batch, LossSpec(), train_backbone=False)
-        assert frozen.grad_backbone_weight is None
-        trainable = accumulate_W_gradient(model, X, batch, LossSpec(), train_backbone=True)
-        assert trainable.grad_backbone_weight is not None
-        np.testing.assert_array_equal(frozen.grad_W, trainable.grad_W)
-
-    @pytest.mark.parametrize("trainable", [False, True])
-    def test_backbone_forward_runs_once(self, monkeypatch, trainable):
+    def test_backbone_forward_runs_once(self, monkeypatch):
         rng = make_rng(56)
         model = _random_model(rng, backbone=True)
         X = rng.standard_normal((4, 7))
@@ -288,7 +276,7 @@ class TestAccumulateGradient:
         real = Backbone.forward
         monkeypatch.setattr(Backbone, "forward",
                             lambda self, x: calls.append(1) or real(self, x))
-        accumulate_W_gradient(model, X, batch, LossSpec(), train_backbone=trainable)
+        accumulate_W_gradient(model, X, batch, LossSpec())
         assert len(calls) == 1
 
     def test_trainable_backbone_checks_input_dim(self):
@@ -296,8 +284,7 @@ class TestAccumulateGradient:
         model = _random_model(rng, backbone=True)
         batch = PairBatch(np.array([0]), np.array([1]), np.array([1]))
         with pytest.raises(InvalidArgument, match="model expects 7"):
-            accumulate_W_gradient(model, rng.standard_normal((2, 6)), batch, LossSpec(),
-                                  train_backbone=True)
+            accumulate_W_gradient(model, rng.standard_normal((2, 6)), batch, LossSpec())
 
     def test_wrong_batch_type(self):
         rng = make_rng(55)
@@ -336,15 +323,15 @@ def _one_group_zero_rows(rng):
 class TestGramKernelMatchesPerPairOracle:
     """The Gram-matrix kernel against the per-item rows + np.add.at oracle."""
 
-    def _check(self, model, X, batch, spec, train_backbone=False):
-        got = accumulate_W_gradient(model, X, batch, spec, train_backbone=train_backbone)
-        want = per_pair_gradient(model, X, batch, spec, train_backbone)
+    def _check(self, model, X, batch, spec):
+        got = accumulate_W_gradient(model, X, batch, spec)
+        want = per_pair_gradient(model, X, batch, spec)
         assert _rel(got.grad_W, want[0]) <= 1e-12
-        if train_backbone:
-            assert _rel(got.grad_backbone_weight, want[1]) <= 1e-12
-            assert _rel(got.grad_backbone_bias, want[2]) <= 1e-12
+        if model.backbone is not None:
+            assert _rel(got.grad_backbone.weight, want[1]) <= 1e-12
+            assert _rel(got.grad_backbone.bias, want[2]) <= 1e-12
         else:
-            assert got.grad_backbone_weight is None and want[1] is None
+            assert got.grad_backbone is None and want[1] is None
         assert got.loss == pytest.approx(want[3], rel=1e-12, abs=0.0)
         assert (got.n_used, got.n_skipped) == want[4:]
         return got
@@ -367,7 +354,7 @@ class TestGramKernelMatchesPerPairOracle:
         model = _random_model(rng, backbone=True)
         X = np.hstack([X, rng.standard_normal((len(X), 1))])
         spec = LossSpec(kind="triplet", margin_triplet=0.3) if mine == "triplets" else LossSpec()
-        self._check(model, X, batch, spec, train_backbone=True)
+        self._check(model, X, batch, spec)
 
     def test_zero_norm_rows_skipped(self):
         model, X = _one_group_zero_rows(make_rng(65))
@@ -406,10 +393,10 @@ class TestGramKernelMatchesPerPairOracle:
         model = _random_model(make_rng(69), backbone=True)
         X = np.hstack([X, np.ones((len(X), 1))])
         whole = EnsembleModel(model.W, GroupPartition((6,)), backbone=model.backbone)
-        plain = accumulate_plain_gradient(model, X, pairs, LossSpec(), train_backbone=True)
-        want = per_pair_gradient(whole, X, pairs, LossSpec(), train_backbone=True)
+        plain = accumulate_plain_gradient(model, X, pairs, LossSpec())
+        want = per_pair_gradient(whole, X, pairs, LossSpec())
         assert _rel(plain.grad_W, want[0]) <= 1e-12
-        assert _rel(plain.grad_backbone_weight, want[1]) <= 1e-12
+        assert _rel(plain.grad_backbone.weight, want[1]) <= 1e-12
         assert plain.loss == pytest.approx(want[3], rel=1e-12, abs=0.0)
 
 

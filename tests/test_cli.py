@@ -135,11 +135,30 @@ class TestTrain:
         W_res = load_checkpoint(resumed).model.W
         np.testing.assert_array_equal(W_full, W_res)
 
+    def test_backbone_resume_byte_equal(self, tmp_path, train_cfg, data_file):
+        # The optimizer trains W, both backbone arrays and the regressor bank.
+        train = ["train", "--data", str(data_file), "--config", str(train_cfg),
+                 "--set", "use_backbone=true", "--set", "diversity=adversarial",
+                 "--set", "eval_interval=40", "--set", "iterations=40"]
+        assert main(train + ["--out", str(tmp_path / "full.ckpt"),
+                             "--metrics", str(tmp_path / "full.csv")]) == 0
+        assert main(train + ["--out", str(tmp_path / "half.ckpt"),
+                             "--set", "iterations=20"]) == 0
+        assert main(train + ["--out", str(tmp_path / "resumed.ckpt"),
+                             "--metrics", str(tmp_path / "resumed.csv"),
+                             "--resume", str(tmp_path / "half.ckpt")]) == 0
+        full = load_checkpoint(tmp_path / "full.ckpt")
+        assert len(full.optimizer.layout) == 1 + 2 + 4
+        assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
+        rows = (tmp_path / "full.csv").read_bytes()
+        assert rows.count(b"\n") == 2
+        assert rows == (tmp_path / "resumed.csv").read_bytes()
+
     @pytest.mark.parametrize("first,second", [
         (["--set", "diversity=adversarial"], []),
-        (["--set", "use_backbone=true"], ["--set", "use_backbone=true",
-                                          "--set", "backbone_trainable=false"]),
-    ], ids=["adversarial-to-none", "backbone-frozen"])
+        (["--set", "diversity=adversarial"], ["--set", "diversity=adversarial",
+                                              "--set", "lambda_div=0"]),
+    ], ids=["adversarial-to-none", "adversarial-to-lambda-0"])
     def test_resume_with_other_trained_arrays_exits_1(self, tmp_path, train_cfg, data_file,
                                                        capsys, first, second):
         half = tmp_path / "half.ckpt"
@@ -266,7 +285,6 @@ class TestTrain:
 
     @pytest.mark.parametrize("setting,message", [
         ("regressor_hidden=0", "regressor_hidden must be >= 1, got 0"),
-        ("backbone_dim=-1", "backbone_dim must be >= 0, got -1"),
         ("lambda_w=nan", "lambda_w must be finite and >= 0, got nan"),
         ("lambda_div=nan", "lambda_div must be finite and >= 0, got nan"),
         ("lambda_div=inf", "lambda_div must be finite and >= 0, got inf"),

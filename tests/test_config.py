@@ -79,13 +79,16 @@ class TestBuildTrainConfig:
         ("weight_exponent = 0.5", "unknown config key 'weight_exponent'"),
         ("renormalize_full = true", "unknown config key 'renormalize_full'"),
         ("eval_pairs = 300", "unknown config key 'eval_pairs'"),
+        ("backbone_trainable = false", "unknown config key 'backbone_trainable'"),
+        ("backbone_dim = 10", "unknown config key 'backbone_dim'"),
     ])
     def test_deleted_settings_are_refused(self, tmp_path, capsys, line, message):
         # eval_ks changed no output; partition = explicit did what group_sizes
         # does; max_pairs_per_batch bounded no cost of the Gram-matrix kernel.
         # Signed boosting weights, 1/d_i similarity scaling and source-only
         # reversal were variants no run used; the eval options of the metrics
-        # rows are set on the eval subcommand only.
+        # rows are set on the eval subcommand only. The backbone always
+        # trains, at the feature width.
         cfg = tmp_path / "train.cfg"
         cfg.write_text(f"iterations = 5\n{line}\n")
         code = main(["train", "--data", str(tmp_path / "absent.bin"), "--config", str(cfg),

@@ -320,12 +320,12 @@ class TestDispatch:
     def test_dispatch_adversarial_needs_bank(self):
         model = _witness_model()
         with pytest.raises(InvalidArgument, match="needs a regressor bank"):
-            init_solver(np.ones((2, 8)), model, "adversarial", 1.0)
+            init_solver(np.ones((2, 8)), model, "adversarial", 1.0, lr=1e-3, max_iterations=1)
 
     def test_dispatch_unknown(self):
         model = _witness_model()
         with pytest.raises(InvalidArgument, match="dropout"):
-            init_solver(np.ones((2, 8)), model, "dropout", 1.0)
+            init_solver(np.ones((2, 8)), model, "dropout", 1.0, lr=1e-3, max_iterations=1)
 
 
 class TestRegressorGradientsAreABank:

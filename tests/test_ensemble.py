@@ -207,8 +207,9 @@ class TestTestEmbedding:
         model = self._model(rng, h=8, sizes=(3, 5))
         X = rng.standard_normal((3, 8))
         Y = rng.standard_normal((3, 8))
-        dots = np.sum(model.test_embeddings(X, 0.5) * model.test_embeddings(Y, 0.5), axis=1)
         FX, FY = model.forward_batch(X), model.forward_batch(Y)
+        dots = np.sum(model._weight_groups(FX, 0.5, False) * model._weight_groups(FY, 0.5, False),
+                      axis=1)
         expected = np.zeros(3)
         for m, sl in enumerate(model.partition.slices()):
             fx, fy = FX[:, sl], FY[:, sl]
@@ -219,7 +220,7 @@ class TestTestEmbedding:
     def test_unit_exponent_group_norms_equal_alpha(self):
         rng = make_rng(22)
         model = self._model(rng, h=7, sizes=(2, 2, 3))
-        emb = model.test_embeddings(rng.standard_normal((4, 7)), 1.0)
+        emb = model.test_embeddings(rng.standard_normal((4, 7)))
         for m, sl in enumerate(model.partition.slices()):
             np.testing.assert_allclose(
                 np.linalg.norm(emb[:, sl], axis=1), model.schedule.alpha[m], rtol=0, atol=1e-12
@@ -240,17 +241,17 @@ class TestTestEmbedding:
     def test_renormalize_full(self):
         rng = make_rng(23)
         model = self._model(rng)
-        emb = model.test_embeddings(rng.standard_normal((3, 6)), renormalize_full=True)
+        emb = model._weight_groups(model.forward_batch(rng.standard_normal((3, 6))), 1.0, True)
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = make_rng(24)
         model = self._model(rng)
         X = rng.standard_normal((5, 6))
-        batch = model.test_embeddings(X, weight_exponent=0.5)
+        batch = model.test_embeddings(X)
         for i in range(5):
             np.testing.assert_allclose(
-                batch[i:i + 1], model.test_embeddings(X[i:i + 1], 0.5), atol=1e-12
+                batch[i:i + 1], model.test_embeddings(X[i:i + 1]), atol=1e-12
             )
 
 
@@ -264,3 +265,4 @@ class TestBackbone:
         phi = model.embed_features(x)
         assert phi.shape == (5,)
         assert np.all(phi >= 0.0)
+        np.testing.assert_array_equal(model.backbone.forward(x), phi)

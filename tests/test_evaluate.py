@@ -22,6 +22,7 @@ from oracles import (
     enumerated_eval_pairs,
     pearson_by_hand,
     per_group_recall_at_1,
+    triu_feature_correlation,
 )
 
 
@@ -336,6 +337,37 @@ class TestFeatureCorrelation:
                 vals.append(abs(pearson_by_hand(F[:, k].tolist(), F[:, l].tolist())))
         assert value == pytest.approx(np.mean(vals), abs=1e-9)
 
+    def test_matches_triu_oracle_bytes(self):
+        # The d x d group-order mask against the triu_indices gather, over
+        # random partitions; every third input has constant columns.
+        rng = make_rng(18)
+        undefined = 0
+        for trial in range(150):
+            sizes = tuple(int(s) for s in rng.integers(1, 7, size=int(rng.integers(2, 6))))
+            part = GroupPartition(sizes)
+            F = rng.standard_normal((int(rng.integers(2, 30)), part.total_dim))
+            if trial % 3 == 0:
+                F[:, rng.random(part.total_dim) < 0.5] = 1.5
+            try:
+                want = triu_feature_correlation(F, part)
+            except UndefinedCorrelation:
+                undefined += 1
+                with pytest.raises(UndefinedCorrelation):
+                    feature_correlation(F, part)
+                continue
+            assert feature_correlation(F, part).hex() == want.hex()
+        assert undefined > 0
+
+    def test_no_usable_pair_raises(self):
+        # Every column outside group 1 is constant: no cross-group pair is left.
+        F = make_rng(19).standard_normal((10, 6))
+        F[:, :2] = 3.0
+        F[:, 5] = 0.0
+        part = GroupPartition((2, 3, 1))
+        for fn in (feature_correlation, triu_feature_correlation):
+            with pytest.raises(UndefinedCorrelation, match="no usable cross-group"):
+                fn(F, part)
+
 
 class TestClassifierCorrelation:
     def _model_with_scores(self, score_vectors):
@@ -440,15 +472,15 @@ class TestEvaluateModel:
 
     @pytest.mark.parametrize("exponent,renormalize", [(1.0, False), (0.5, True), (2.0, False)])
     def test_report_equals_the_separate_passes(self, monkeypatch, exponent, renormalize):
-        # The ensemble from test_embeddings, Recall@1 from a recall_at_k pass
-        # per group, and each correlation from its own forward.
+        # The ensemble from the group weighting of its own forward, Recall@1
+        # from a recall_at_k pass per group, and each correlation from its own
+        # forward.
         monkeypatch.setattr(evaluate, "_BLOCK", 16)
         fs = synth_gaussian(SynthSpec(classes=12, per_class=8, feature_dim=10, seed=4))
         model = init_model(make_rng(2), 10, GroupPartition((3, 5, 8)))
         got = evaluate_model(model, fs, ks=(1, 4), weight_exponent=exponent,
                              renormalize_full=renormalize, n_eval_pairs=300, pair_seed=9)
-        emb = model.test_embeddings(fs.features, weight_exponent=exponent,
-                                    renormalize_full=renormalize)
+        emb = model._weight_groups(model.forward_batch(fs.features), exponent, renormalize)
         ia, ib = make_eval_pairs(fs.labels, make_rng(9), max_pairs=300)
         want = EvalReport(
             recall_at=recall_at_k(emb, fs.labels, (1, 4)),

@@ -313,7 +313,7 @@ class TestBenchmarkContract:
         fs = synth_gaussian(SynthSpec(classes=4, per_class=4, feature_dim=6, seed=2))
         cfg = TrainConfig(embedding_dim=6, num_groups=3, iterations=1, batch_classes=2,
                           samples_per_class=2, diversity="adversarial", regressor_hidden=3,
-                          use_backbone=True, backbone_dim=5)
+                          use_backbone=True)
         run(cfg, fs)
         assert calls == [(1 + 2 + 3 * 4, 1 + 2 + 3 * 4)]
 

@@ -142,7 +142,7 @@ class TestTrainStep:
         fs = _toy_set()
         base = dict(embedding_dim=8, num_groups=2, iterations=1, lr=1e-3,
                     batch_classes=3, samples_per_class=3, seed=4,
-                    use_backbone=True, backbone_dim=10)
+                    use_backbone=True)
         for kind, extra in (("activation", {}), ("adversarial", {"regressor_hidden": 6})):
             plain_cfg = TrainConfig(diversity="none", **base)
             reg_cfg = TrainConfig(diversity=kind, lambda_div=5.0, **base, **extra)
@@ -156,16 +156,24 @@ class TestTrainStep:
             )
             assert not np.array_equal(plain.model.W, reg.model.W)
 
-    def test_frozen_backbone_never_moves(self):
+    @pytest.mark.parametrize("use_boosting", [True, False])
+    def test_fully_skipped_batch_with_backbone(self, use_boosting):
+        # Every backbone activation is 0, so every pair is skipped; the step
+        # still hands the optimizer a zero gradient for each trained array.
         fs = _toy_set()
-        cfg = TrainConfig(embedding_dim=8, num_groups=2, iterations=30, lr=1e-3,
-                          batch_classes=3, samples_per_class=3, seed=4,
-                          use_backbone=True, backbone_dim=10, backbone_trainable=False)
-        rng = make_rng(cfg.seed)
-        model, _ = build_model(cfg, fs.feature_dim, rng)
-        before = model.backbone.weight.copy()
-        result = run(cfg, fs)
-        np.testing.assert_array_equal(result.model.backbone.weight, before)
+        cfg = TrainConfig(embedding_dim=8, num_groups=2, batch_classes=3,
+                          samples_per_class=3, use_backbone=True, use_boosting=use_boosting)
+        rng = make_rng(0)
+        model, bank = build_model(cfg, fs.feature_dim, rng)
+        model.backbone.bias[:] = -1e6
+        batch = sample_batch(fs, 3, 3, rng)
+        opt = Optimizer(kind="sgd_momentum", lr=1e-3)
+        before = trainer._trained_arrays(model.W.copy(), copy.deepcopy(model.backbone))
+        step = train_step(cfg, model, bank, opt, fs.features[batch.indices], batch)
+        assert step.n_used == 0 and step.n_skipped == len(batch.pairs)
+        assert opt.layout == [(12, 8), (12, 12), (12,)]
+        for got, want in zip(trainer._trained_arrays(model.W, model.backbone), before):
+            np.testing.assert_array_equal(got, want)
 
     def test_one_step_descends_metric_loss(self):
         fs = _toy_set(classes=2, per_class=6, noise=0.8)
@@ -480,10 +488,11 @@ class TestSplitIsBitIdentical:
             if route == "plain":
                 res = accumulate_plain_gradient(model, X, batch, spec)
             else:
-                res = accumulate_W_gradient(model, X, batch, spec,
-                                            train_backbone=route == "backbone")
-            parts = [res.grad_W, res.grad_backbone_weight, res.grad_backbone_bias]
-            return repr(res.loss), [None if p is None else p.tobytes() for p in parts]
+                res = accumulate_W_gradient(model, X, batch, spec)
+            parts = [res.grad_W]
+            if res.grad_backbone is not None:
+                parts += [res.grad_backbone.weight, res.grad_backbone.bias]
+            return repr(res.loss), [p.tobytes() for p in parts]
 
         _same_across_workers(across_workers(grads))
 
