@@ -34,7 +34,7 @@ TRAIN_KEYS = {
     "iterations": ("int", "training iterations"),
     "batch_classes": ("int", "classes per batch (P)"),
     "samples_per_class": ("int", "samples per class per batch (K)"),
-    "seed": ("int", "master seed"),
+    "seed": ("int", "master seed, >= 0"),
     "use_boosting": ("bool", "false trains one global loss (baseline)"),
     "use_backbone": ("bool", "affine+ReLU layer of the feature width before W, trained with W"),
     "regressor_hidden": ("int", "adversarial regressor hidden size, >= 1"),
@@ -49,7 +49,7 @@ SYNTH_KEYS = {
     "feature_dim": ("int", "feature dimensionality h"),
     "cluster_spread": ("float", "class-center radius"),
     "noise": ("float", "per-sample noise scale"),
-    "seed": ("int", "generator seed"),
+    "seed": ("int", "generator seed, >= 0"),
 }
 
 # Init-solver keys live in the train config but are not TrainConfig fields.

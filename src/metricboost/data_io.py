@@ -52,8 +52,11 @@ class FeatureSet:
         return self.features.shape[1]
 
     def class_indices(self):
-        """List of index arrays, one per class id."""
-        return [np.flatnonzero(self.labels == c) for c in range(self.n_classes)]
+        """List of ascending index arrays, one per class id: one stable sort
+        of the labels, split at the cumulative class counts."""
+        counts = np.bincount(self.labels, minlength=self.n_classes)
+        order = np.argsort(self.labels, kind="stable")
+        return np.split(order, np.cumsum(counts)[:-1])[:self.n_classes]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Each suite builds random instances away from hinge/ReLU kinks, evaluates the
 analytic gradient, and compares it against (f(x + h e_k) - f(x - h e_k)) / 2h
 per coordinate. The comparison metric is the max absolute difference scaled
 by the larger gradient magnitude.
+
+`central_diff` moves each entry of the live array it is given and puts it
+back, so an objective may ignore its argument and read the model, backbone
+or regressor that holds that array. The array must be C-contiguous.
 """
 
 from dataclasses import dataclass
@@ -40,18 +44,26 @@ class CheckResult:
 
 
 def central_diff(f, x, h=1e-6):
-    """Central finite-difference gradient of scalar f at array x."""
+    """Central finite-difference gradient of scalar f at array x.
+
+    Entries of x are perturbed in place and restored bit for bit, also when
+    f raises; f is called with x itself.
+    """
     x = np.asarray(x, dtype=np.float64)
+    if not x.flags.c_contiguous:
+        raise InvalidArgument("central_diff needs a C-contiguous array")
     g = np.zeros_like(x)
     flat = x.ravel()
     gflat = g.ravel()
     for k in range(flat.size):
         orig = flat[k]
-        flat[k] = orig + h
-        fp = f(x)
-        flat[k] = orig - h
-        fm = f(x)
-        flat[k] = orig
+        try:
+            flat[k] = orig + h
+            fp = f(x)
+            flat[k] = orig - h
+            fm = f(x)
+        finally:
+            flat[k] = orig
         gflat[k] = (fp - fm) / (2.0 * h)
     return g
 
@@ -66,7 +78,7 @@ def rel_error(a, b):
 
 def check_gradient(value_fn, grad, x, h=1e-6):
     """Relative error between `grad` and the FD gradient of value_fn at x."""
-    return rel_error(grad, central_diff(value_fn, x.copy(), h=h))
+    return rel_error(grad, central_diff(value_fn, x, h=h))
 
 
 def _away_from(value, kinks, margin=0.05):
@@ -120,8 +132,8 @@ def check_cosine(seed=2, n=60, dim=16):
         u = rng.standard_normal((1, dim))
         v = rng.standard_normal((1, dim))
         _, du, dv, _ = cosine_sim_grad_batch(u, v)
-        fd_u = central_diff(lambda x: cosine_sim_grad_batch(x, v)[0][0], u.copy())
-        fd_v = central_diff(lambda x: cosine_sim_grad_batch(u, x)[0][0], v.copy())
+        fd_u = central_diff(lambda x: cosine_sim_grad_batch(x, v)[0][0], u)
+        fd_v = central_diff(lambda x: cosine_sim_grad_batch(u, x)[0][0], v)
         worst = max(worst, rel_error(du, fd_u), rel_error(dv, fd_v))
     return [CheckResult("boosting", "cosine_sim_grad", worst, 1e-5, n)]
 
@@ -139,66 +151,31 @@ def _random_setup(rng, h=7, d=6, M=3, n_samples=8, backbone=False):
             return model, X
 
 
-def _frozen_pair_objective(model, X, batch, spec):
-    """Objective with boosting weights frozen at the current forward pass."""
-    F = model.forward_batch(X)
-    part = model.partition
-    scores = np.stack(
-        [
-            _cos_rows(F[batch.index_a, sl], F[batch.index_b, sl])
-            for sl in part.slices()
-        ],
-        axis=1,
-    )
-    trace = boost_backward_pair(spec, model.schedule, scores, batch.y)
-    frozen_w = trace.weights
+def _frozen_objective(model, X, batch, spec):
+    """Boosted loss of the live model.W and backbone, with the boosting
+    weights frozen at the current forward pass."""
+    if isinstance(batch, PairBatch):
+        ends = ((batch.index_a, batch.index_b),)
+        weigh = lambda s: boost_backward_pair(spec, model.schedule, *s, batch.y)
+        loss = lambda s: pair_loss_vec(spec, *s, batch.y)[0]
+    else:
+        ends = ((batch.anchor, batch.positive), (batch.anchor, batch.negative))
+        weigh = lambda s: boost_step_triplet(spec, model.schedule, *s)
+        loss = lambda s: triplet_loss_vec(spec, *s)[0]
+    slices = model.partition.slices()
 
-    def objective(W):
-        old = model.W
-        model.W = W
-        Fx = model.forward_batch(X)
-        s = np.stack(
-            [
-                _cos_rows(Fx[batch.index_a, sl], Fx[batch.index_b, sl])
-                for sl in part.slices()
-            ],
-            axis=1,
-        )
-        model.W = old
+    def scores():
+        F = model.forward_batch(X)
+        return [np.stack([_cos_rows(F[a, sl], F[b, sl]) for sl in slices], axis=1)
+                for a, b in ends]
+
+    frozen_w = weigh(scores()).weights
+
+    def objective(_):
+        s = scores()
         total = 0.0
-        for m in range(part.num_groups):
-            losses, _ = pair_loss_vec(spec, s[:, m], batch.y)
-            total += float(np.sum(frozen_w[:, m] * losses))
-        return total / len(batch)
-
-    return objective
-
-
-def _frozen_triplet_objective(model, X, batch, spec):
-    F = model.forward_batch(X)
-    part = model.partition
-    sp = np.stack(
-        [_cos_rows(F[batch.anchor, sl], F[batch.positive, sl]) for sl in part.slices()],
-        axis=1,
-    )
-    sn = np.stack(
-        [_cos_rows(F[batch.anchor, sl], F[batch.negative, sl]) for sl in part.slices()],
-        axis=1,
-    )
-    trace = boost_step_triplet(spec, model.schedule, sp, sn)
-    frozen_w = trace.weights
-
-    def objective(W):
-        old = model.W
-        model.W = W
-        Fx = model.forward_batch(X)
-        total = 0.0
-        for m, sl in enumerate(part.slices()):
-            spm = _cos_rows(Fx[batch.anchor, sl], Fx[batch.positive, sl])
-            snm = _cos_rows(Fx[batch.anchor, sl], Fx[batch.negative, sl])
-            losses, _, _ = triplet_loss_vec(spec, spm, snm)
-            total += float(np.sum(frozen_w[:, m] * losses))
-        model.W = old
+        for m in range(len(slices)):
+            total += float(np.sum(frozen_w[:, m] * loss([t[:, m] for t in s])))
         return total / len(batch)
 
     return objective
@@ -238,39 +215,25 @@ def _random_triplets(rng, n_samples, n_trip):
 def check_boosted_gradient(seed=3, n=50):
     rng = make_rng(seed)
     results = []
-    for kind, backbone in (("binomial_deviance", False), ("contrastive", False),
-                           ("binomial_deviance", True)):
+    for kind, backbone, label in (
+            ("binomial_deviance", False, "[pairs][binomial_deviance]"),
+            ("contrastive", False, "[pairs][contrastive]"),
+            ("binomial_deviance", True, "[pairs+backbone][binomial_deviance]"),
+            ("triplet", False, "[triplets]")):
         spec = LossSpec(kind=kind)
+        draw_batch = _random_triplets if kind == "triplet" else _random_pairs
         worst = 0.0
         for _ in range(n):
             model, X = _random_setup(rng, backbone=backbone)
-            batch = _random_pairs(rng, X.shape[0], 10)
+            batch = draw_batch(rng, X.shape[0], 10)
             res = accumulate_W_gradient(model, X, batch, spec)
-            obj = _frozen_pair_objective(model, X, batch, spec)
+            obj = _frozen_objective(model, X, batch, spec)
             worst = max(worst, check_gradient(obj, res.grad_W, model.W))
             if backbone:
-                bw = model.backbone.weight
-
-                def obj_b(Wb):
-                    old = model.backbone.weight
-                    model.backbone.weight = Wb
-                    val = obj(model.W)
-                    model.backbone.weight = old
-                    return val
-
-                worst = max(worst, check_gradient(obj_b, res.grad_backbone.weight, bw))
-        label = "accumulate_W_gradient[pairs%s]" % ("+backbone" if backbone else "")
-        results.append(CheckResult("boosting", f"{label}[{kind}]", worst, 1e-5, n))
-
-    spec = LossSpec(kind="triplet")
-    worst = 0.0
-    for _ in range(n):
-        model, X = _random_setup(rng)
-        batch = _random_triplets(rng, X.shape[0], 10)
-        res = accumulate_W_gradient(model, X, batch, spec)
-        obj = _frozen_triplet_objective(model, X, batch, spec)
-        worst = max(worst, check_gradient(obj, res.grad_W, model.W))
-    results.append(CheckResult("boosting", "accumulate_W_gradient[triplets]", worst, 1e-5, n))
+                worst = max(worst, check_gradient(obj, res.grad_backbone.weight,
+                                                  model.backbone.weight))
+        results.append(CheckResult("boosting", "accumulate_W_gradient" + label,
+                                   worst, 1e-5, n))
     return results
 
 
@@ -281,14 +244,7 @@ def check_activation(seed=4, n=50):
         model, X = _random_setup(rng, h=8, d=6, M=2, n_samples=4)
         lam = float(rng.uniform(0.1, 2.0))
         res = activation_loss(model, X, lam)
-
-        def obj(W):
-            old = model.W
-            model.W = W
-            val = activation_loss(model, X, lam).loss
-            model.W = old
-            return val
-
+        obj = lambda _: activation_loss(model, X, lam).loss
         worst = max(worst, check_gradient(obj, res.grad_W, model.W))
     return [CheckResult("diversity", "activation_loss", worst, 1e-5, n)]
 
@@ -304,22 +260,16 @@ def check_adversarial(seed=5, n=50):
         lam = float(rng.uniform(0.1, 2.0))
         res = adversarial_loss(model, bank, X, lam)
 
-        def sim_of_W(W):
-            old = model.W
-            model.W = W
-            val = adversarial_loss(model, bank, X, lam).sim_term
-            model.W = old
-            return val
-
         def w_penalty(W):
             col_sq = np.sum(W * W, axis=0)
             return lam * float(np.sum((col_sq - 1.0) ** 2))
 
         # Unreversed similarity path: gradient of -sim_term.
-        fd_sim = central_diff(sim_of_W, model.W.copy())
+        sim = lambda _: adversarial_loss(model, bank, X, lam).sim_term
+        fd_sim = central_diff(sim, model.W)
         worst_w = max(worst_w, rel_error(res.grad_W_sim_unreversed, -fd_sim))
         # Penalty path (never reversed).
-        fd_pen = central_diff(w_penalty, model.W.copy())
+        fd_pen = central_diff(w_penalty, model.W)
         worst_w = max(worst_w, rel_error(res.grad_W - res.grad_W_sim, fd_pen))
         # Reversal is an exact sign flip of the similarity component.
         worst_flip = max(
@@ -328,20 +278,11 @@ def check_adversarial(seed=5, n=50):
         )
 
         # Regressor parameters descend the true loss; FD the full objective.
-        (i, j) = bank.keys()[0]
-        reg = bank[(i, j)]
-        rg = res.regressor_grads[(i, j)]
-        for attr, grad in (("W1", rg.W1), ("b1", rg.b1), ("W2", rg.W2), ("b2", rg.b2)):
-            arr = getattr(reg, attr)
-
-            def obj_reg(a, _attr=attr, _arr=arr):
-                old = _arr.copy()
-                _arr[...] = a
-                val = adversarial_loss(model, bank, X, lam).loss
-                _arr[...] = old
-                return val
-
-            worst_reg = max(worst_reg, check_gradient(obj_reg, grad, arr))
+        key = bank.keys()[0]
+        loss = lambda _: adversarial_loss(model, bank, X, lam).loss
+        for attr in ("W1", "b1", "W2", "b2"):
+            grad = getattr(res.regressor_grads[key], attr)
+            worst_reg = max(worst_reg, check_gradient(loss, grad, getattr(bank[key], attr)))
     return [
         CheckResult("diversity", "adversarial_loss[embedding]", worst_w, 1e-5, n),
         CheckResult("diversity", "adversarial_loss[regressors]", worst_reg, 1e-5, n),

@@ -50,12 +50,18 @@ _PART_ROWS = 8  # fewest rows of a half: numpy hands one-row products to gemv
 _PART_COLS = 8
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise InvalidArgument(f"seed must be an integer >= 0, got {seed}")
+
+
 def make_rng(seed):
-    """Seeded deterministic generator (PCG64).
+    """Seeded deterministic generator (PCG64); the seed must be >= 0.
 
     PCG64 produces identical uniform / standard-normal streams for a given
     seed on every platform, which the reproducibility guarantees depend on.
     """
+    _check_seed(seed)
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -66,6 +72,7 @@ def make_child_rng(seed, stream):
     the regressor bank is seeded off-stream so that enabling it leaves the
     main training draws untouched.
     """
+    _check_seed(seed)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream))))
 
 

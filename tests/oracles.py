@@ -20,7 +20,8 @@ adversarial loss that builds every W-sized sum as a new array, and
 `scaled_mix_train_step`, the earlier `train_step` mixing of the diversity
 gradients through new arrays; and `triu_feature_correlation`, the earlier
 `feature_correlation` that gathers cross-group pairs through
-`np.triu_indices`.
+`np.triu_indices`; and `per_class_indices`, the earlier
+`FeatureSet.class_indices` with one label comparison per class.
 """
 
 from dataclasses import dataclass
@@ -283,6 +284,11 @@ def label_lookup_sample_batch(fs, P, K, rng, mine="pairs"):
         draw = rng.integers(0, n - K, size=len(anchor))
         batch.triplets = TripletBatch(anchor, positive, pools[rows, draw])
     return batch
+
+
+def per_class_indices(fs):
+    """Index array of each class id, one label scan per class."""
+    return [np.flatnonzero(fs.labels == c) for c in range(fs.n_classes)]
 
 
 def _column_penalty(W):

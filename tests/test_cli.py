@@ -537,6 +537,27 @@ class TestGradcheckCommand:
 
 
 class TestArgumentRobustness:
+    @pytest.mark.parametrize("command", ["gen", "init", "train", "gradcheck"])
+    def test_negative_seed_exits_1_writing_nothing(self, tmp_path, synth_cfg, train_cfg,
+                                                   data_file, capsys, command):
+        spec = tmp_path / "neg.cfg"
+        spec.write_text(synth_cfg.read_text().replace("seed = 7", "seed = -1"))
+        out = tmp_path / "out"
+        train_args = ["--data", str(data_file), "--config", str(train_cfg),
+                      "--out", str(out), "--set", "seed=-1"]
+        argv = {
+            "gen": ["gen", "--spec", str(spec), "--out", str(out)],
+            "init": ["init"] + train_args,
+            "train": ["train"] + train_args + ["--metrics", str(tmp_path / "m.csv")],
+            "gradcheck": ["gradcheck", "--seed", "-1"],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_bad_ks_rejected(self, tmp_path, train_cfg, data_file, capsys):
         ckpt = tmp_path / "model.ckpt"
         main(["train", "--data", str(data_file), "--config", str(train_cfg),

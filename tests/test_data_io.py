@@ -12,6 +12,7 @@ from metricboost.data_io import (
     write_features,
 )
 from metricboost.errors import FormatError, InvalidArgument
+from oracles import per_class_indices
 
 
 def _random_set(seed=0, n_classes=4, per_class=3, h=5):
@@ -127,6 +128,19 @@ class TestSynth:
         )
         norms = np.linalg.norm(fs.features, axis=1)
         np.testing.assert_allclose(norms, 3.0, atol=1e-12)
+
+
+class TestClassIndices:
+    @pytest.mark.parametrize("n, n_classes", [(0, 0), (0, 3), (1, 2), (40, 7), (600, 90)])
+    def test_matches_per_class_scan(self, n, n_classes):
+        # Only half the classes (rounded down) have rows.
+        rng = np.random.default_rng(n + n_classes)
+        labels = rng.choice(rng.permutation(n_classes)[:n_classes // 2], size=n)
+        fs = FeatureSet(labels=labels, features=np.zeros((n, 2)), n_classes=n_classes)
+        got, want = fs.class_indices(), per_class_indices(fs)
+        assert len(got) == len(want) == n_classes
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestSplit:

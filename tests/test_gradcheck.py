@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from metricboost.cli import main
+from metricboost.ensemble import init_model, proportional_partition
 from metricboost.errors import InvalidArgument
 from metricboost.gradcheck import (
     central_diff,
@@ -11,6 +12,7 @@ from metricboost.gradcheck import (
     rel_error,
     run_suites,
 )
+from metricboost.linalg import make_rng
 
 
 class TestHarness:
@@ -30,6 +32,44 @@ class TestHarness:
         good = 2 * x
         assert check_gradient(f, good, x) < 1e-8
         assert check_gradient(f, -good, x) > 1.0
+
+    def test_central_diff_restores_x_bit_for_bit(self):
+        x = make_rng(0).standard_normal((3, 4))
+        before = x.tobytes()
+        central_diff(lambda v: float(np.sum(np.sin(v))), x)
+        assert x.tobytes() == before
+
+    def test_central_diff_restores_x_when_f_raises(self):
+        x = make_rng(1).standard_normal((3, 4))
+        before = x.tobytes()
+        calls = []
+
+        def f(v):
+            calls.append(v.copy())
+            if len(calls) == 4:  # entry 1, moved down by h
+                raise RuntimeError("objective failed")
+            return float(np.sum(v))
+
+        with pytest.raises(RuntimeError, match="objective failed"):
+            central_diff(f, x)
+        assert x.tobytes() == before
+        assert calls[3].ravel()[1] != x.ravel()[1]
+
+    def test_central_diff_refuses_non_contiguous_view(self):
+        X = np.zeros((3, 4))
+        with pytest.raises(InvalidArgument, match="C-contiguous"):
+            central_diff(lambda v: 0.0, X[:, ::2])
+
+    def test_objective_reading_the_model_detects_sign_bug(self):
+        # The objective ignores its argument and reads model.W through the
+        # model: the perturbation must reach the live array.
+        rng = make_rng(2)
+        model = init_model(rng, 5, proportional_partition(6, 2))
+        X = rng.standard_normal((4, 5))
+        obj = lambda _: float(np.sum(model.forward_batch(X) ** 2))
+        good = 2.0 * X.T @ model.forward_batch(X)
+        assert check_gradient(obj, good, model.W) < 1e-6
+        assert check_gradient(obj, -good, model.W) > 1.0
 
     def test_unknown_module_rejected(self):
         with pytest.raises(InvalidArgument):

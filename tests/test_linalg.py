@@ -13,6 +13,7 @@ import pytest
 from metricboost import evaluate, linalg, trainer
 from metricboost.data_io import SynthSpec, synth_gaussian
 from metricboost.ensemble import GroupPartition, init_model
+from metricboost.errors import InvalidArgument
 from metricboost.linalg import make_child_rng, make_rng
 
 
@@ -33,6 +34,18 @@ class TestRng:
         assert not np.array_equal(main, child)
         again = make_child_rng(7, 1).standard_normal(8)
         assert child.tobytes() == again.tobytes()
+
+    def test_seed_beyond_64_bits(self):
+        a = make_rng(2**70).standard_normal(4)
+        assert np.array_equal(a, make_rng(2**70).standard_normal(4))
+        assert not np.array_equal(a, make_rng(2**70 - 2**64).standard_normal(4))
+        make_child_rng(2**70, 1)
+
+    @pytest.mark.parametrize("make", [make_rng, lambda seed: make_child_rng(seed, 1)],
+                             ids=["make_rng", "make_child_rng"])
+    def test_negative_seed_refused(self, make):
+        with pytest.raises(InvalidArgument, match="^seed must be an integer >= 0, got -1$"):
+            make(-1)
 
 
 class TestWorkerCount:
