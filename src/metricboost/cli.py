@@ -56,14 +56,9 @@ def _parse_sets(pairs):
     return out
 
 
-def _load_config(path, overrides, builder):
-    file_values = config_mod.parse_config_file(path) if path else {}
-    return builder(file_values, overrides)
-
-
 def cmd_gen(args):
     overrides = _parse_sets(args.set)
-    spec = _load_config(args.spec, overrides, config_mod.build_synth_spec)
+    spec = config_mod.build_synth_spec(config_mod.parse_config_file(args.spec), overrides)
     fs = synth_gaussian(spec)
     write_features(args.out, fs)
     print(f"wrote {fs.n_samples} samples, {fs.n_classes} classes, h={fs.feature_dim} -> {args.out}")
@@ -74,7 +69,8 @@ def cmd_init(args):
     overrides = _parse_sets(args.set)
     if args.diversity:
         overrides["diversity"] = args.diversity
-    cfg, extras = _load_config(args.config, overrides, config_mod.build_train_config)
+    cfg, extras = config_mod.build_train_config(
+        config_mod.parse_config_file(args.config), overrides)
     if cfg.diversity == "none":
         from dataclasses import replace
         cfg = replace(cfg, diversity="activation")
@@ -103,7 +99,8 @@ def cmd_init(args):
 
 def cmd_train(args):
     overrides = _parse_sets(args.set)
-    cfg, _extras = _load_config(args.config, overrides, config_mod.build_train_config)
+    cfg, _extras = config_mod.build_train_config(
+        config_mod.parse_config_file(args.config), overrides)
     fs = read_features(args.data)
     resume = ckpt_io.load_checkpoint(args.resume) if args.resume else None
     result = run(cfg, fs, resume=resume, metrics_path=args.metrics)
@@ -160,8 +157,6 @@ def cmd_gradcheck(args):
 def cmd_partition(args):
     if args.preset:
         part = preset_partition(args.d, args.m)
-        if part is None:
-            raise InvalidArgument(f"no preset group sizes for d={args.d} M={args.m}")
     else:
         part = proportional_partition(args.d, args.m)
     print(" ".join(str(s) for s in part.sizes))

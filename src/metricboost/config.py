@@ -121,6 +121,9 @@ def build_train_config(file_values=None, overrides=None):
 
 def build_synth_spec(file_values=None, overrides=None):
     merged = _merge(SYNTH_KEYS, file_values or {}, overrides or {})
+    for key in ("classes", "per_class", "feature_dim"):
+        if key not in merged:
+            raise InvalidArgument(f"config key {key!r} is required")
     return SynthSpec(**merged)
 
 

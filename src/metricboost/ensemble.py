@@ -106,9 +106,11 @@ def proportional_partition(total_dim, num_groups):
 
 
 def preset_partition(total_dim, num_groups):
-    """Hand-chosen sizes for known (d, M) setups, or None when there is no entry."""
-    sizes = PRESET_GROUP_SIZES.get((int(total_dim), int(num_groups)))
-    return GroupPartition(sizes) if sizes is not None else None
+    """Hand-chosen sizes for a known (d, M) setup; InvalidArgument otherwise."""
+    d, M = int(total_dim), int(num_groups)
+    if (d, M) not in PRESET_GROUP_SIZES:
+        raise InvalidArgument(f"no preset group sizes for d={d} M={M}")
+    return GroupPartition(PRESET_GROUP_SIZES[d, M])
 
 
 @dataclass

@@ -6,20 +6,23 @@ per-learner Recall@1 and both correlations.
 
 Recall@K ranks every other sample by dot-product similarity of the
 inference-time embeddings (ties broken by ascending sample index) and scores
-a query as hit when any of its top K carries the query's label. It is one
-row-blocked top-k pass: each block of _BLOCK query rows is scored against all
-N samples, argpartition keeps the K_max largest per row, and the survivors
-are sorted by descending score, then ascending index. A row whose smallest
-surviving score is tied with entries left out is re-ranked over every entry
-at or above that score, so the result equals a full sort exactly. With
-K_max = 1 the block takes the first maximum per row (argmax), which is the
-same tie rule, and skips the partition, sort and re-rank. With two
+a query as hit when any of its top K carries the query's label. So a query
+needs only the rank of its first hit: the same-label sample with the best
+score, at the lowest index among equal scores. Its rank is the number of
+samples scoring above it plus the number scoring the same at a lower index,
+which equals its position in a full sort exactly. It is one row-blocked pass:
+each block of _BLOCK query rows is scored against all N samples and the two
+counts are taken per row. A query with no other sample of its label has best
+score -inf (the masked self score) and rank N - 1, so it is a miss for every
+valid K. With K_max = 1 the block takes the first maximum per row (argmax),
+which is the same tie rule in one pass over the scores. With two
 workers (`linalg.run_halves`) the caller ranks the first half of the blocks
 and the helper thread the second. Each half scores its blocks into its own
 (_BLOCK, N) buffer, allocated by the caller once per call, and writes only
 those blocks' rows of the result, so the result does not depend on the
 worker count or on which thread ranked which half. Memory is
-O(workers * _BLOCK * N), at most 2 * 256 * N * 8 bytes of score buffers.
+O(workers * _BLOCK * N): per half, 256 * N * 8 bytes of score buffer and
+at most 3 bytes of boolean masks per score.
 Non-finite embeddings raise InvalidArgument, and so do rows whose squared
 norm exceeds half the float64 maximum: that bound keeps every similarity
 finite, so it is checked once instead of on every block.
@@ -52,23 +55,20 @@ def _rank_block(E, labels, lo, kmax, S, first_hit):
 
     Runs on the helper thread too, so it calls numpy only.
     """
-    n = len(E)
-    np.matmul(E[lo:lo + len(S)], E.T, out=S)
+    rows = slice(lo, lo + len(S))
+    np.matmul(E[rows], E.T, out=S)
     q = np.arange(len(S))
     S[q, lo + q] = -np.inf
-    if kmax == 1:
-        top = S.argmax(axis=1)[:, None]  # first maximum: lowest index wins ties
-    else:
-        top = np.sort(np.argpartition(S, n - kmax, axis=1)[:, n - kmax:], axis=1)
-        score = np.take_along_axis(S, top, axis=1)
-        top = np.take_along_axis(top, np.argsort(-score, axis=1, kind="stable"), axis=1)
-        cut = score.min(axis=1, keepdims=True)
-        # Ties straddling the cut: re-rank every entry >= cut by (-score, index).
-        for r in np.flatnonzero((S >= cut).sum(axis=1) > kmax):
-            cand = np.flatnonzero(S[r] >= cut[r])
-            top[r] = cand[np.lexsort((cand, -S[r, cand]))][:kmax]
-    match = labels[top] == labels[lo:lo + len(S), None]
-    first_hit[lo:lo + len(S)] = np.where(match.any(axis=1), match.argmax(axis=1), kmax)
+    if kmax == 1:  # first maximum: lowest index wins ties
+        first_hit[rows] = labels[S.argmax(axis=1)] != labels[rows]
+        return
+    same = labels[rows, None] == labels
+    best = np.max(S, axis=1, where=same, initial=-np.inf, keepdims=True)
+    tie = S == best
+    first = (same & tie).argmax(axis=1)[:, None]
+    tie &= np.arange(len(E)) < first  # ties ranked before the first hit
+    rank = np.count_nonzero(S > best, axis=1) + np.count_nonzero(tie, axis=1)
+    first_hit[rows] = np.minimum(rank, kmax)
 
 
 def recall_at_k(embeddings, labels, ks):

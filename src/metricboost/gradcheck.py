@@ -24,7 +24,7 @@ from .boosting import (
 from .diversity import RegressorBank, activation_loss, adversarial_loss
 from .ensemble import cosine_sim_grad_batch, init_model, proportional_partition
 from .errors import InvalidArgument
-from .linalg import make_rng
+from .linalg import _check_seed, make_rng
 from .losses import LossSpec, pair_loss, pair_loss_vec, triplet_loss_vec
 
 MODULES = ("losses", "boosting", "diversity")
@@ -295,6 +295,7 @@ def run_suites(modules=MODULES, seed=0):
     unknown = set(modules) - set(MODULES)
     if unknown:
         raise InvalidArgument(f"unknown gradcheck modules: {sorted(unknown)}")
+    _check_seed(seed)  # each suite adds its offset to the seed
     results = []
     if "losses" in modules:
         results += check_pair_losses(seed=seed)

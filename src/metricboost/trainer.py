@@ -126,12 +126,7 @@ class TrainConfig:
         if self.group_sizes:
             return GroupPartition(tuple(int(s) for s in self.group_sizes))
         if self.partition == "preset":
-            part = preset_partition(self.embedding_dim, self.num_groups)
-            if part is None:
-                raise InvalidArgument(
-                    f"no preset group sizes for d={self.embedding_dim} M={self.num_groups}"
-                )
-            return part
+            return preset_partition(self.embedding_dim, self.num_groups)
         return proportional_partition(self.embedding_dim, self.num_groups)
 
 

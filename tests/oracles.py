@@ -6,7 +6,7 @@ exception is `per_pair_gradient`, the earlier boosting kernel kept as a
 reference for the Gram-matrix one: it builds a cosine gradient row per item
 and endpoint and scatters them with np.add.at; `enumerated_eval_pairs`,
 the earlier `make_eval_pairs` that lists all N(N-1)/2 pairs;
-`per_group_recall_at_1`, per-learner Recall@1 read from the general top-k
+`per_group_recall_at_1`, per-learner Recall@1 read from the general K > 1
 ranking instead of the K = 1 argmax; `whole_array_step`, the earlier
 optimizer update with whole-array expressions per parameter;
 `label_lookup_sample_batch`, the earlier batch sampler that mines by label
@@ -87,10 +87,10 @@ def enumerated_eval_pairs(labels, rng, max_pairs=2000):
 
 
 def per_group_recall_at_1(F, partition, labels):
-    """Recall@1 of each group from the top-k ranking of its unit rows.
+    """Recall@1 of each group from the K > 1 ranking of its unit rows.
 
-    Asking `recall_at_k` for K = 1 and 2 runs its partition, sort and tie
-    re-rank rather than the K = 1 argmax; needs at least 3 samples.
+    Asking `recall_at_k` for K = 1 and 2 runs its first-hit rank count
+    rather than the K = 1 argmax; needs at least 3 samples.
     """
     out = []
     for sl in partition.slices():

@@ -558,6 +558,39 @@ class TestArgumentRobustness:
         assert "Traceback" not in captured.out + captured.err
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("seed", [-1, -4])
+    @pytest.mark.parametrize("module", ["all", "losses", "boosting", "diversity"])
+    def test_negative_gradcheck_seed_refused_for_every_module(self, capsys, module, seed):
+        # Each suite adds its own offset to the seed; none may bring it back to >= 0.
+        assert main(["gradcheck", "--module", module, "--seed", str(seed)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be an integer >= 0, got {seed}\n"
+
+    def test_spec_missing_key_exits_1_writing_nothing(self, tmp_path, synth_cfg, capsys):
+        spec = tmp_path / "partial.cfg"
+        spec.write_text(synth_cfg.read_text().replace("feature_dim = 12\n", ""))
+        before = sorted(tmp_path.iterdir())
+        assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out.bin")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config key 'feature_dim' is required\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["gen", "init", "train"])
+    def test_empty_config_path_is_a_missing_file(self, tmp_path, data_file, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--spec", "", "--out", str(out)],
+            "init": ["init", "--data", str(data_file), "--config", "", "--out", str(out)],
+            "train": ["train", "--data", str(data_file), "--config", "", "--out", str(out),
+                      "--metrics", str(tmp_path / "m.csv")],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: file not found")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_bad_ks_rejected(self, tmp_path, train_cfg, data_file, capsys):
         ckpt = tmp_path / "model.ckpt"
         main(["train", "--data", str(data_file), "--config", str(train_cfg),

@@ -88,8 +88,10 @@ class TestPartition:
             assert part is not None and part.sizes == sizes
 
     def test_preset_absent(self):
-        assert preset_partition(512, 7) is None
-        assert preset_partition(384, 3) is None
+        with pytest.raises(InvalidArgument, match=r"^no preset group sizes for d=512 M=7$"):
+            preset_partition(512, 7)
+        with pytest.raises(InvalidArgument, match=r"^no preset group sizes for d=384 M=3$"):
+            preset_partition(384, 3)
 
     def test_partition_invariants(self):
         part = GroupPartition((1, 2, 3))

@@ -220,8 +220,10 @@ class TestBlockedRecall:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # A dense 4000 x 4000 float64 matrix alone would be 122 MiB.
-        assert peak < 64 * 2**20
+        # A dense 4000 x 4000 float64 matrix alone would be 122 MiB. Each half
+        # holds a 256 x 4000 score buffer (8 bytes a score) and at most
+        # 4 bytes of masks per score.
+        assert peak < evaluate.workers() * evaluate._BLOCK * 4000 * 12 + 2**20
 
 
 class TestPerLearnerRecall:
