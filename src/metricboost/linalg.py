@@ -14,16 +14,18 @@ thread (a threaded BLAS already uses the cores, and splitting on top of it
 measured slower) and the CPU affinity mask (`os.cpu_count()` where there is
 no mask) holds at least two CPUs, and 1 otherwise. With one worker the
 caller runs everything and no thread is started. A half must only call
-numpy and write to memory the other half does not touch; `matmul` and the
-Recall@K block sweep are the two users. `matmul(A, B)` splits A's rows into
-halves and writes each into one preallocated output. It relies on the BLAS
-computing each output row of a product the same way whichever rows it is
-given with, so the result equals `A @ B` bit for bit; products whose width
-is not a multiple of `_PART_COLS` break that premise and run whole. A half
-gets at least `_PART_MACS` multiply-adds; smaller products run whole.
+numpy and write to memory the other half does not touch; `matmul`, the
+Recall@K block sweep and the optimizer's block sweep are the three users.
+`matmul(A, B)` splits A's rows into halves and writes each into one
+preallocated output. It relies on the BLAS computing each output row of a
+product the same way whichever rows it is given with, so the result equals
+`A @ B` bit for bit; products whose width is not a multiple of `_PART_COLS`
+break that premise and run whole. A half gets at least `_PART_MACS`
+multiply-adds; smaller products run whole.
 """
 
 from concurrent.futures import ThreadPoolExecutor, wait
+import contextvars
 import ctypes
 import os
 import threading
@@ -149,7 +151,8 @@ def run_halves(fn, count):
 
     With one worker, or count < 2, the caller runs fn(0, 0, count) alone.
     Otherwise the helper is handed fn(1, count // 2, count) and the caller
-    runs fn(0, 0, count // 2). A helper that has not started its half by
+    runs fn(0, 0, count // 2), both in the caller's context variables
+    (np.errstate among them). A helper that has not started its half by
     then loses nothing: the caller cancels it and runs half 1 itself.
     Returns once both halves have finished; half 0's exception is re-raised
     ahead of half 1's.
@@ -158,7 +161,9 @@ def run_halves(fn, count):
         fn(0, 0, count)
         return
     mid = count // 2
-    helper = _executor().submit(fn, 1, mid, count)
+    # The helper runs in a copy of the caller's context, so that the
+    # caller's np.errstate holds in both halves.
+    helper = _executor().submit(contextvars.copy_context().run, fn, 1, mid, count)
     try:
         fn(0, 0, mid)
     finally:

@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from metricboost import evaluate, linalg, trainer
+from metricboost import evaluate, linalg, optim, trainer
 from metricboost.data_io import SynthSpec, synth_gaussian
 from metricboost.ensemble import GroupPartition, init_model
 from metricboost.errors import InvalidArgument
 from metricboost.linalg import make_child_rng, make_rng
+from metricboost.optim import Optimizer
 
 
 class TestRng:
@@ -98,6 +99,23 @@ class TestRunParts:
             assert seen[0] == (list(range(count // 2)), threading.main_thread())
             assert seen[0][0] + seen[1][0] == list(range(count))
             assert seen[1][1] is not threading.main_thread()
+
+    def test_the_helper_half_keeps_the_callers_errstate(self, set_workers):
+        set_workers(2)
+        started = threading.Event()
+        seen = {}
+
+        def half(h, lo, hi):
+            if h == 1:
+                started.set()
+            else:
+                assert started.wait(10)  # half 1 runs on the helper thread
+            seen[h] = (np.geterr()["over"], threading.current_thread())
+
+        with np.errstate(over="raise"):
+            linalg.run_halves(half, 2)
+        assert seen[0] == ("raise", threading.main_thread())
+        assert seen[1][0] == "raise" and seen[1][1] is not threading.main_thread()
 
     def test_one_worker_runs_everything_on_the_caller(self, monkeypatch, set_workers):
         monkeypatch.setattr(linalg, "_executor", None)  # calling it would fail
@@ -301,7 +319,8 @@ class TestTracerSafety:
     its span stack is not thread-safe."""
 
     @pytest.mark.filterwarnings("ignore:init solver left")
-    def test_traced_functions_run_on_the_main_thread(self, monkeypatch, set_workers):
+    def test_traced_functions_run_on_the_main_thread(self, monkeypatch, set_workers,
+                                                     helper_takes_half_1):
         set_workers(2)
         monkeypatch.setattr(linalg, "_PART_MACS", 1 << 22)  # split the 2000-row products
         calls, off_main = [], []
@@ -325,6 +344,16 @@ class TestTracerSafety:
             return rank_block(*args)
 
         monkeypatch.setattr(evaluate, "_rank_block", spy)
+        # init_solver's 64 x 64 W is 4 blocks of 1024, so its SGD sweep splits.
+        monkeypatch.setattr(optim, "_BLOCK", 1024)
+        block_threads = set()
+        sgd_block = Optimizer._sgd_block
+
+        def block_spy(*args):
+            block_threads.add(threading.current_thread())
+            return sgd_block(*args)
+
+        monkeypatch.setattr(Optimizer, "_sgd_block", block_spy)
 
         fs = synth_gaussian(SynthSpec(classes=200, per_class=10, feature_dim=64, seed=5))
         model = init_model(make_rng(6), 64, GroupPartition((32, 64)))
@@ -334,3 +363,4 @@ class TestTracerSafety:
         assert off_main == []
         assert {"evaluate.recall_at_k", "ensemble.forward_batch", "optim.step"} <= set(calls)
         assert len(pool_threads) == 2  # the sweep did run on a pool thread
+        assert len(block_threads) == 2  # and so did half of each optimizer step

@@ -1,10 +1,12 @@
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from metricboost import optim
+from metricboost import linalg, optim
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.data_io import SynthSpec, synth_gaussian
 from metricboost.ensemble import GroupPartition, init_model
@@ -140,6 +142,14 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.fixture(params=[1, 2], ids=["1worker", "2workers"])
+def workers(request, set_workers):
+    """linalg's worker count for this test: one runs every block on the
+    caller, two sweep the blocks in halves."""
+    set_workers(request.param)
+    return request.param
+
+
 class TestBlockedUpdate:
     """The block walk against the whole-array expressions it replaced."""
 
@@ -147,7 +157,7 @@ class TestBlockedUpdate:
     SHAPES = [(), (3, 4), (B - 1,), (B,), (B + 1,), (2, B + 3), (5,)]
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-    def test_bit_identical_to_whole_array_update(self, kind):
+    def test_bit_identical_to_whole_array_update(self, kind, workers):
         rng = np.random.default_rng(40)
         # Mixed scales per array, so m/c1 and sqrt(v/c2) cover many exponents.
         scales = [10.0 ** rng.integers(-6, 4) for _ in self.SHAPES]
@@ -165,7 +175,7 @@ class TestBlockedUpdate:
             assert _same_bytes(buf, ref.buffers["flat"][key])
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-    def test_nan_in_last_block_of_last_array_refuses_step(self, kind):
+    def test_nan_in_last_block_of_last_array_refuses_step(self, kind, workers):
         rng = np.random.default_rng(41)
         shapes = [(7,), (2 * self.B + 10,)]
         params = [rng.standard_normal(s) for s in shapes]
@@ -188,7 +198,7 @@ class TestBlockedUpdate:
         assert np.all(p == -(1e-10 * 1e308))
 
     @pytest.mark.parametrize("big", [1e160, -1e160, optim._ADAM_GRAD_BOUND])
-    def test_adam_gradient_that_overflows_v_refused_without_mutation(self, big):
+    def test_adam_gradient_that_overflows_v_refused_without_mutation(self, big, workers):
         rng = np.random.default_rng(43)
         shapes = [(5,), (self.B + 3,)]
         params = [rng.standard_normal(s) for s in shapes]
@@ -198,8 +208,8 @@ class TestBlockedUpdate:
         snap = {k: v.copy() for k, v in opt.buffers["flat"].items()}
         grads = [rng.standard_normal(s) for s in shapes]
         grads[1][self.B + 1] = big
-        with pytest.raises(NumericFailure, match=r"array 1 of shape \(8195,\) has an entry "
-                                                 r"with \|g\| >= 1\.341e\+154"):
+        with pytest.raises(NumericFailure, match=rf"array 1 of shape \({self.B + 3},\) has an "
+                                                 r"entry with \|g\| >= 1\.341e\+154"):
             opt.step(params, grads)
         assert all(_same_bytes(p, s) for p, s in zip(params, snap_p))
         assert all(_same_bytes(opt.buffers["flat"][k], v) for k, v in snap.items())
@@ -227,7 +237,7 @@ class TestBlockedUpdate:
         assert back.optimizer.t == 1
 
     @pytest.mark.parametrize("param", [np.zeros((4, 3)).T, np.zeros((4, 3))[:, :2]])
-    def test_non_contiguous_parameter_refused(self, param):
+    def test_non_contiguous_parameter_refused(self, param, workers):
         # The block walk updates a flat view of each parameter; a copy would
         # silently drop the update.
         opt = Optimizer(kind="adam", lr=0.1)
@@ -235,7 +245,7 @@ class TestBlockedUpdate:
             opt.step([np.zeros(2), param], [np.ones(2), np.ones(param.shape)])
         assert opt.layout is None and opt.t == 0
 
-    def test_adam_step_allocates_no_array_sized_temporaries(self):
+    def test_adam_step_allocates_no_array_sized_temporaries(self, workers):
         rng = np.random.default_rng(42)
         W = rng.standard_normal((512, 512))
         opt = Optimizer(kind="adam", lr=1e-3)
@@ -249,6 +259,138 @@ class TestBlockedUpdate:
             tracemalloc.stop()
         # One 512 x 512 float64 temporary alone would be 2 MiB.
         assert peak < 2**20
+
+
+class TestHalves:
+    """The block sweep in two halves against one worker and the whole-array update."""
+
+    B = optim._BLOCK
+    # W, then 12 arrays of mixed sizes, as the adversarial route passes them.
+    SHAPES = [(512, 512), (), (1,), (B - 1,), (B + 1,), (16, 32), (16,), (1, 16), (B,),
+              (0,), (3, B + 1), (2,), (1,)]
+
+    def _run(self, kind, steps=6):
+        rng = np.random.default_rng(45)
+        params = [rng.standard_normal(s) for s in self.SHAPES]
+        opt = Optimizer(kind=kind, lr=0.01)
+        for _ in range(steps):
+            opt.step(params, [rng.standard_normal(s) for s in self.SHAPES])
+        return params, opt
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_adversarial_layout_bit_identical(self, kind, set_workers):
+        runs = []
+        for count in (1, 2):
+            set_workers(count)
+            runs.append(self._run(kind))
+        rng = np.random.default_rng(45)
+        want = [rng.standard_normal(s) for s in self.SHAPES]
+        ref = Optimizer(kind=kind, lr=0.01)
+        for _ in range(6):
+            whole_array_step(ref, want, [rng.standard_normal(s) for s in self.SHAPES])
+        for params, opt in runs:
+            assert all(_same_bytes(p, w) for p, w in zip(params, want))
+            for key, buf in ref.buffers["flat"].items():
+                assert _same_bytes(opt.buffers["flat"][key], buf)
+            assert opt.t == ref.t == 6
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_two_workers_split_at_a_block_near_the_middle(self, monkeypatch, set_workers,
+                                                          helper_takes_half_1, kind):
+        set_workers(2)
+        name = "_sgd_block" if kind == "sgd_momentum" else "_adam_block"
+        real = getattr(Optimizer, name)
+        done = {}
+
+        def spy(self, p, *args):
+            thread = threading.current_thread()
+            done.setdefault(thread, []).append(p.size)
+            return real(self, p, *args)
+
+        monkeypatch.setattr(Optimizer, name, spy)
+        self._run(kind, steps=1)
+        mine = done.pop(threading.main_thread())
+        (theirs,) = done.values()  # the other half ran on the helper thread
+        total = sum(int(np.prod(s)) for s in self.SHAPES)
+        assert sum(mine) + sum(theirs) == total
+        assert abs(sum(mine) - sum(theirs)) <= 2 * self.B
+
+    def test_stress_two_workers(self, monkeypatch, set_workers):
+        # Small blocks and a short switch interval: a half that updated a
+        # block of the other half, or lost a write, changes the bytes.
+        monkeypatch.setattr(optim, "_BLOCK", 64)
+        shapes = [(40, 50), (), (63,), (65,), (7, 64)]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2):
+                set_workers(count)
+                rng = np.random.default_rng(46)
+                params = [rng.standard_normal(s) for s in shapes]
+                opt = Optimizer(kind="adam", lr=0.01)
+                for _ in range(20):
+                    opt.step(params, [rng.standard_normal(s) for s in shapes])
+                state = [*params, *opt.buffers["flat"].values()]
+                runs.append(b"".join(a.tobytes() for a in state))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+
+    def test_one_worker_sweeps_every_block_on_the_caller(self, monkeypatch, set_workers):
+        set_workers(1)
+        monkeypatch.setattr(linalg, "_executor", None)  # calling it would fail
+        real = optim.run_halves
+        calls = []
+
+        def spy(fn, count):
+            def traced(*args):
+                calls.append((args, threading.current_thread()))
+                return fn(*args)
+            return real(traced, count)
+
+        monkeypatch.setattr(optim, "run_halves", spy)
+        params, _ = self._run("adam", steps=2)
+        units = -(-sum(p.size for p in params) // self.B)
+        assert calls == [((0, 0, units), threading.main_thread())] * 2
+
+
+class TestOverlap:
+    """Parameter arrays that share memory are refused before any state moves."""
+
+    def test_overlapping_arrays_refused_without_mutation(self):
+        base = np.arange(10.0)
+        opt = Optimizer(kind="adam", lr=0.1)
+        opt.step([np.zeros(4), np.zeros(3), np.zeros(4)], [np.ones(4), np.ones(3), np.ones(4)])
+        snap_base = base.copy()
+        snap = {k: v.copy() for k, v in opt.buffers["flat"].items()}
+        with pytest.raises(InvalidArgument) as info:
+            opt.step([base[:4], np.zeros(3), base[2:6]], [np.ones(4), np.ones(3), np.ones(4)])
+        assert str(info.value) == "parameter arrays 0 and 2 overlap"
+        assert _same_bytes(base, snap_base)
+        assert all(_same_bytes(opt.buffers["flat"][k], v) for k, v in snap.items())
+        assert opt.t == 1 and opt.layout == [(4,), (3,), (4,)]
+
+    def test_same_array_twice_refused_on_the_first_step(self):
+        p = np.zeros((2, 3))
+        opt = Optimizer(kind="sgd_momentum", lr=0.1)
+        with pytest.raises(InvalidArgument, match="parameter arrays 0 and 1 overlap"):
+            opt.step([p, p], [np.ones((2, 3)), np.ones((2, 3))])
+        assert opt.layout is None and opt.buffers == {} and opt.t == 0
+        assert not p.any()
+
+    def test_a_view_inside_a_larger_array_refused(self):
+        base = np.zeros(100)
+        params = [base[50:52], np.zeros(1), base]
+        with pytest.raises(InvalidArgument, match="parameter arrays 0 and 2 overlap"):
+            Optimizer().step(params, [np.ones(p.shape) for p in params])
+
+    def test_adjacent_and_empty_views_accepted(self):
+        base = np.zeros(8)
+        params = [base[4:], base[:4], base[4:4], base[:0]]
+        Optimizer(kind="sgd_momentum", lr=1.0, momentum=0.0).step(
+            params, [np.full(p.shape, float(k + 1)) for k, p in enumerate(params)])
+        np.testing.assert_array_equal(base, [-2.0] * 4 + [-1.0] * 4)
 
 
 class TestConvergence:
