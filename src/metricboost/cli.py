@@ -69,8 +69,7 @@ def cmd_init(args):
     overrides = _parse_sets(args.set)
     if args.diversity:
         overrides["diversity"] = args.diversity
-    cfg, extras = config_mod.build_train_config(
-        config_mod.parse_config_file(args.config), overrides)
+    cfg = config_mod.build_train_config(config_mod.parse_config_file(args.config), overrides)
     if cfg.diversity == "none":
         from dataclasses import replace
         cfg = replace(cfg, diversity="activation")
@@ -82,8 +81,8 @@ def cmd_init(args):
         print(f"regressor bank: {len(bank)} regressors, hidden={cfg.regressor_hidden}")
     result = init_solver(
         fs.features, model, kind, cfg.lambda_w,
-        lr=extras["init_lr"], momentum=cfg.momentum,
-        max_iterations=extras["init_iterations"],
+        lr=cfg.init_lr, momentum=cfg.momentum,
+        max_iterations=cfg.init_iterations,
         bank=bank,
     )
     col_sq = np.sum(model.W * model.W, axis=0)
@@ -99,8 +98,7 @@ def cmd_init(args):
 
 def cmd_train(args):
     overrides = _parse_sets(args.set)
-    cfg, _extras = config_mod.build_train_config(
-        config_mod.parse_config_file(args.config), overrides)
+    cfg = config_mod.build_train_config(config_mod.parse_config_file(args.config), overrides)
     fs = read_features(args.data)
     resume = ckpt_io.load_checkpoint(args.resume) if args.resume else None
     result = run(cfg, fs, resume=resume, metrics_path=args.metrics)
@@ -124,11 +122,7 @@ def cmd_eval(args):
         raise InvalidArgument(f"--ks expects integers, got {args.ks!r}") from None
     if not ks:
         raise InvalidArgument("--ks needs at least one cutoff")
-    report = evaluate_model(
-        ckpt.model, fs, ks=ks,
-        weight_exponent=args.weight_exponent,
-        renormalize_full=args.renormalize_full,
-    )
+    report = evaluate_model(ckpt.model, fs, ks=ks, weight_exponent=args.weight_exponent)
     print(report.table())
     print()
     print(report.csv(), end="")
@@ -204,7 +198,6 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--ks", default="1,2,4,8", help="comma-separated recall cutoffs")
     p.add_argument("--weight-exponent", type=float, default=1.0)
-    p.add_argument("--renormalize-full", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of all gradients")

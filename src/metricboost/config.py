@@ -40,7 +40,7 @@ TRAIN_KEYS = {
     "regressor_hidden": ("int", "adversarial regressor hidden size, >= 1"),
     "eval_interval": ("int", "iterations between metric rows, >= 0 (0 = none)"),
     "init_lr": ("float", "init solver learning rate, finite and > 0"),
-    "init_iterations": ("int", "init solver iteration cap"),
+    "init_iterations": ("int", "init solver iteration cap, >= 1"),
 }
 
 SYNTH_KEYS = {
@@ -51,10 +51,6 @@ SYNTH_KEYS = {
     "noise": ("float", "per-sample noise scale"),
     "seed": ("int", "generator seed, >= 0"),
 }
-
-# Init-solver keys live in the train config but are not TrainConfig fields.
-_EXTRA_TRAIN_KEYS = {"init_lr": 1e-3, "init_iterations": 5000}
-
 
 def parse_config_file(path):
     """Read `key = value` lines into a string dict."""
@@ -113,10 +109,8 @@ def _merge(schema, file_values, overrides):
 
 
 def build_train_config(file_values=None, overrides=None):
-    """TrainConfig plus init-solver extras from raw string dicts."""
-    merged = _merge(TRAIN_KEYS, file_values or {}, overrides or {})
-    extras = {k: merged.pop(k, v) for k, v in _EXTRA_TRAIN_KEYS.items()}
-    return TrainConfig(**merged), extras
+    """TrainConfig from raw string dicts."""
+    return TrainConfig(**_merge(TRAIN_KEYS, file_values or {}, overrides or {}))
 
 
 def build_synth_spec(file_values=None, overrides=None):

@@ -165,20 +165,11 @@ class AdversarialResult:
     grad_W: np.ndarray  # embedding gradient: grad_W_sim + lambda_w * column-penalty gradient
     grad_W_sim: np.ndarray  # similarity component of grad_W, reversal applied
     regressor_grads: RegressorBank  # gradient of the full loss, keyed like the bank
-    chain: tuple  # (phi, dF_target, dF_source): the similarity gradient's chain inputs
 
     @property
     def grad_W_sim_unreversed(self):
-        """The similarity gradient without the reversal layer, built when read."""
-        return -_similarity_gradient(*self.chain)
-
-
-def _similarity_gradient(phi, dF_target, dF_source):
-    """The reversed similarity gradient phi.T @ dF_target + phi.T @ dF_source:
-    both the target path f_i and the regressor-input path f_j are reversed."""
-    target = matmul(phi.T, dF_target)
-    target += matmul(phi.T, dF_source)
-    return target
+        """The similarity gradient without the reversal layer."""
+        return -self.grad_W_sim
 
 
 def _regressor_pair(reg, u, vj, norm, lambda_w):
@@ -260,7 +251,9 @@ def adversarial_loss(model, bank, features, lambda_w):
         dF_target[:, slices[i]] += du
         dF_source[:, slices[j]] += dvj
 
-    grad_sim = _similarity_gradient(phi, dF_target, dF_source)
+    # Both the target path f_i and the regressor-input path f_j are reversed.
+    grad_sim = matmul(phi.T, dF_target)
+    grad_sim += matmul(phi.T, dF_source)
     w_pen, grad_W = _unit_norm_penalty(model.W, 0)
     penalty += w_pen
     grad_W *= lambda_w
@@ -274,5 +267,4 @@ def adversarial_loss(model, bank, features, lambda_w):
         grad_W=grad_W,
         grad_W_sim=grad_sim,
         regressor_grads=RegressorBank(reg_grads),
-        chain=(phi, dF_target, dF_source),
     )

@@ -186,23 +186,22 @@ class EnsembleModel:
     def test_embeddings(self, x):
         """Concatenated inference-time embeddings: (n, input_dim) -> (n, d).
 
-        Each group output is L2-normalized and scaled by alpha_m, with no
-        renormalization of the whole: the weighting `evaluate_model` uses by
-        default.
+        Each group output is L2-normalized and scaled by alpha_m: the
+        weighting `evaluate_model` uses by default.
         """
         feats = np.asarray(x, dtype=np.float64)
         if feats.ndim != 2:
             raise InvalidArgument("expected a 2-D batch of feature rows")
-        return self._weight_groups(self.forward_batch(feats), 1.0, False)
+        return self._weight_groups(self.forward_batch(feats), 1.0)
 
-    def _weight_groups(self, full, weight_exponent, renormalize_full):
+    def _weight_groups(self, full, weight_exponent):
         """Inference-time embeddings from raw batch outputs `full` (n, d).
 
         Each group is L2-normalized and scaled by alpha_m ** weight_exponent.
         Exponent 1.0 matches the stated weighting; 0.5 makes dot products of
         two embeddings equal the ensemble score sum(alpha_m * s_m) exactly.
-        `renormalize_full` then scales each whole row to unit norm. A group
-        scale that underflows to 0 or overflows float64 raises
+        Every row therefore has the same norm, sqrt(sum_m alpha_m ** (2 e)).
+        A group scale that underflows to 0 or overflows float64 raises
         InvalidArgument: it would zero the group or fill it with inf.
         """
         scales = []
@@ -225,8 +224,6 @@ class EnsembleModel:
                 raise DegenerateInput(f"group {m} produced a zero embedding for row {bad}")
             np.multiply(scales[m], full[:, sl], out=out[:, sl])
             out[:, sl] /= norms[:, None]
-        if renormalize_full:
-            out /= np.linalg.norm(out, axis=1, keepdims=True)
         return out
 
     def copy(self):

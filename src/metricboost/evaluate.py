@@ -274,13 +274,13 @@ class EvalReport:
         return ",".join(cols) + "\n" + ",".join(vals) + "\n"
 
 
-def evaluate_model(model, fs, ks=(1, 2, 4, 8), weight_exponent=1.0,
-                   renormalize_full=False, n_eval_pairs=2000, pair_seed=0):
+def evaluate_model(model, fs, ks=(1, 2, 4, 8), weight_exponent=1.0, n_eval_pairs=2000,
+                   pair_seed=0):
     """Full diagnostic report on a feature set, from one embedding forward."""
     if not np.isfinite(weight_exponent):
         raise InvalidArgument(f"weight_exponent must be finite, got {weight_exponent!r}")
     F = model.forward_batch(np.asarray(fs.features, dtype=np.float64))
-    emb = model._weight_groups(F, weight_exponent, renormalize_full)
+    emb = model._weight_groups(F, weight_exponent)
     recall = recall_at_k(emb, fs.labels, ks)
     per_learner = per_learner_recall_at_1(F, model.partition, fs.labels)
     feature_corr = None

@@ -7,12 +7,13 @@ reproducible, `as_matrix`, which validates a model's embedding matrix, and
 the split of large work over two cores.
 
 `run_halves(fn, count)` splits range(count) into two halves: the caller runs
-the first, and one helper thread, created on first use, the second. The
-worker count is read once, at import, from what the process can see, and is
-not configurable. It is 2 when the loaded BLAS is OpenBLAS running one
-thread (a threaded BLAS already uses the cores, and splitting on top of it
-measured slower) and the CPU affinity mask (`os.cpu_count()` where there is
-no mask) holds at least two CPUs, and 1 otherwise. With one worker the
+the first, and one helper thread the second. The helper's executor is made at
+import, and its thread starts on the first split. The worker count is read
+once, at import, from what the process can see, and is not configurable. It
+is 2 when the loaded BLAS is OpenBLAS running one thread (a threaded BLAS
+already uses the cores, and splitting on top of it measured slower) and the
+CPU affinity mask (`os.cpu_count()` where there is no mask) holds at least
+two CPUs, and 1 otherwise. With one worker the
 caller runs everything and no thread is started. A half must only call
 numpy and write to memory the other half does not touch; `matmul`, the
 Recall@K block sweep and the optimizer's block sweep are the three users.
@@ -28,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import contextvars
 import ctypes
 import os
-import threading
 
 import numpy as np
 
@@ -120,29 +120,23 @@ def _worker_count():
 
 
 _WORKERS = _worker_count()
-_pool = None  # one-thread ThreadPoolExecutor, created on first use
-_pool_lock = threading.Lock()
 
 
-def _drop_pool():
+def _new_pool():
+    """The helper: a one-thread executor, whose thread starts on its first
+    submit. Made at import and again in a forked child, which has none of
+    the parent's threads."""
     global _pool
-    _pool = None  # a forked child has none of the parent's threads
+    _pool = ThreadPoolExecutor(1, thread_name_prefix="metricboost")
 
 
-os.register_at_fork(after_in_child=_drop_pool)
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def workers():
     """Threads a split may use, the caller included: 1 or 2."""
     return _WORKERS
-
-
-def _executor():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="metricboost")
-        return _pool
 
 
 def run_halves(fn, count):
@@ -163,7 +157,7 @@ def run_halves(fn, count):
     mid = count // 2
     # The helper runs in a copy of the caller's context, so that the
     # caller's np.errstate holds in both halves.
-    helper = _executor().submit(contextvars.copy_context().run, fn, 1, mid, count)
+    helper = _pool.submit(contextvars.copy_context().run, fn, 1, mid, count)
     try:
         fn(0, 0, mid)
     finally:

@@ -84,6 +84,8 @@ class TrainConfig:
     use_backbone: bool = False
     regressor_hidden: int = 512
     eval_interval: int = 0
+    init_lr: float = 1e-3  # `init` only: the init solver's SGD step
+    init_iterations: int = 5000  # `init` only: the init solver's iteration cap
 
     def __post_init__(self):
         if self.diversity not in DIVERSITY_KINDS:
@@ -104,6 +106,10 @@ class TrainConfig:
             raise InvalidArgument("iterations must be >= 0")
         if self.regressor_hidden < 1:
             raise InvalidArgument(f"regressor_hidden must be >= 1, got {self.regressor_hidden}")
+        if not 0.0 < self.init_lr < np.inf:
+            raise InvalidArgument(f"init_lr must be finite and > 0, got {self.init_lr!r}")
+        if self.init_iterations < 1:
+            raise InvalidArgument(f"init_iterations must be >= 1, got {self.init_iterations}")
         # Built once, which also refuses loss constants outside their ranges;
         # kept outside the dataclass fields, so it is no config key.
         object.__setattr__(self, "_loss_spec", LossSpec(
@@ -176,14 +182,9 @@ def sample_batch(fs, batch_classes, samples_per_class, rng, mine="pairs",
     batch = SampledBatch(indices=indices, labels=labels)
 
     if mine == "pairs":
-        pos_i, pos_j = iu[same], ju[same]
-        neg_i, neg_j = iu[~same], ju[~same]
-        batch.pairs = PairBatch(
-            np.concatenate([pos_i, neg_i]),
-            np.concatenate([pos_j, neg_j]),
-            np.concatenate([np.ones(len(pos_i), dtype=np.int64),
-                            np.zeros(len(neg_i), dtype=np.int64)]),
-        )
+        # Positives first, each kind in upper-triangle order.
+        order = np.argsort(~same, kind="stable")
+        batch.pairs = PairBatch(iu[order], ju[order], same[order])
     elif mine == "triplets":
         anchor, positive = iu[same], ju[same]
         # A uniform draw over the n - K rows outside the anchor's class
@@ -423,7 +424,8 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
     checkpoint that disagrees with the config on embedding size, partition
     sizes, use_backbone, or (when it carries one) the optimizer's kind or lr
     or, for adversarial diversity, the regressor bank's hidden size raises
-    InvalidArgument before anything is written. The
+    InvalidArgument before anything is written, and so does a feature set
+    (`fs` or `eval_fs`) whose width is not the model's input width. The
     metrics CSV gains one row per eval interval:
     iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr
     """
@@ -441,6 +443,10 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
             bank = _build_bank(cfg, model.partition)
         if resume.rng_state is not None:
             rng.bit_generator.state = resume.rng_state
+    for name, data in (("training", fs), ("eval", eval_fs)):
+        if data is not None and data.feature_dim != model.input_dim:
+            raise InvalidArgument(f"{name} features have width {data.feature_dim}, "
+                                  f"the model takes width {model.input_dim}")
     if opt is None:
         opt = Optimizer(
             kind=cfg.optimizer, lr=cfg.lr, momentum=cfg.momentum,

@@ -95,7 +95,24 @@ class TestInit:
         code = main(["init", "--data", str(data_file), "--config", str(train_cfg),
                      "--out", str(ckpt), "--set", "init_lr=nan"])
         assert code == 1
-        assert capsys.readouterr().err == "error: lr must be finite and > 0, got nan\n"
+        assert capsys.readouterr().err == "error: init_lr must be finite and > 0, got nan\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", ["init", "train"])
+    @pytest.mark.parametrize("setting,message", [
+        ("init_lr=-1", "init_lr must be finite and > 0, got -1.0"),
+        ("init_lr=inf", "init_lr must be finite and > 0, got inf"),
+        ("init_iterations=0", "init_iterations must be >= 1, got 0"),
+    ])
+    def test_init_setting_out_of_range_exits_1(self, tmp_path, train_cfg, data_file, capsys,
+                                               command, setting, message):
+        # Read with the config, so train refuses them as it does every setting.
+        ckpt = tmp_path / "out.ckpt"
+        code = main([command, "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(ckpt), "--set", setting])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not ckpt.exists()
 
 
@@ -201,6 +218,27 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r.ckpt").exists()
         assert csv.read_bytes() == rows
+
+    @pytest.mark.parametrize("iterations", ["40", "80"], ids=["none-left", "40-left"])
+    def test_resume_with_features_of_another_width_exits_1(self, tmp_path, synth_cfg,
+                                                           train_cfg, data_file, capsys,
+                                                           iterations):
+        wide = tmp_path / "wide.bin"
+        assert main(["gen", "--spec", str(synth_cfg), "--out", str(wide),
+                     "--set", "feature_dim=13"]) == 0
+        half = tmp_path / "half.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(half), "--set", "iterations=40"]) == 0
+        capsys.readouterr()
+        out, csv = tmp_path / "r.ckpt", tmp_path / "metrics.csv"
+        code = main(["train", "--data", str(wide), "--config", str(train_cfg),
+                     "--out", str(out), "--metrics", str(csv), "--resume", str(half),
+                     "--set", f"iterations={iterations}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: training features have width 13, the model takes width 12\n")
+        assert not out.exists() and not csv.exists()
 
     @pytest.mark.parametrize("settings", [
         ["--set", "partition=preset", "--set", "embedding_dim=512", "--set", "num_groups=4"],
@@ -378,6 +416,19 @@ class TestEval:
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"])
         assert code == 1
         assert "embeddings must be finite" in capsys.readouterr().err
+
+    def test_renormalize_full_is_no_flag(self, tmp_path, data_file, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_model(make_rng(0), 12, GroupPartition((4, 4))))
+        before = sorted(tmp_path.iterdir())
+        code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt),
+                     "--renormalize-full"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "metricboost: error: unrecognized arguments: --renormalize-full")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_non_finite_weight_exponent_exits_1(self, tmp_path, data_file, capsys):
         ckpt = tmp_path / "m.ckpt"

@@ -37,17 +37,17 @@ class TestParse:
 
 class TestBuildTrainConfig:
     def test_defaults(self):
-        cfg, extras = build_train_config()
+        cfg = build_train_config()
         assert cfg.loss == "binomial_deviance"
         assert cfg.cost_neg == 25.0
-        assert extras == {"init_lr": 1e-3, "init_iterations": 5000}
+        assert (cfg.init_lr, cfg.init_iterations) == (1e-3, 5000)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidArgument, match="unknown config key"):
             build_train_config({"learning_rate": "0.1"})
 
     def test_type_coercion(self):
-        cfg, _ = build_train_config({
+        cfg = build_train_config({
             "lr": "0.5",
             "iterations": "7",
             "use_boosting": "false",
@@ -101,18 +101,17 @@ class TestBuildTrainConfig:
             build_train_config({"use_boosting": "maybe"})
 
     def test_overrides_win(self):
-        cfg, _ = build_train_config({"lr": "0.5"}, {"lr": "0.25"})
+        cfg = build_train_config({"lr": "0.5"}, {"lr": "0.25"})
         assert cfg.lr == 0.25
 
     def test_init_extras_configurable(self):
-        _, extras = build_train_config({"init_lr": "0.02", "init_iterations": "99"})
-        assert extras == {"init_lr": 0.02, "init_iterations": 99}
+        cfg = build_train_config({"init_lr": "0.02", "init_iterations": "99"})
+        assert (cfg.init_lr, cfg.init_iterations) == (0.02, 99)
 
 
 class TestSchema:
     def test_keys_are_the_config_fields(self):
-        assert set(TRAIN_KEYS) == {f.name for f in fields(TrainConfig)} | {
-            "init_lr", "init_iterations"}
+        assert set(TRAIN_KEYS) == {f.name for f in fields(TrainConfig)}
         assert set(SYNTH_KEYS) == {f.name for f in fields(SynthSpec)}
 
 

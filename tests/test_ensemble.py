@@ -210,7 +210,7 @@ class TestTestEmbedding:
         X = rng.standard_normal((3, 8))
         Y = rng.standard_normal((3, 8))
         FX, FY = model.forward_batch(X), model.forward_batch(Y)
-        dots = np.sum(model._weight_groups(FX, 0.5, False) * model._weight_groups(FY, 0.5, False),
+        dots = np.sum(model._weight_groups(FX, 0.5) * model._weight_groups(FY, 0.5),
                       axis=1)
         expected = np.zeros(3)
         for m, sl in enumerate(model.partition.slices()):
@@ -239,12 +239,6 @@ class TestTestEmbedding:
         model = EnsembleModel(np.eye(4), GroupPartition((2, 2)))
         with pytest.raises(DegenerateInput, match="group 1 produced a zero embedding for row 1"):
             model.test_embeddings([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
-
-    def test_renormalize_full(self):
-        rng = make_rng(23)
-        model = self._model(rng)
-        emb = model._weight_groups(model.forward_batch(rng.standard_normal((3, 6))), 1.0, True)
-        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = make_rng(24)

@@ -78,6 +78,48 @@ class TestWorkerCount:
         assert count == (min(cpus, 2) if threads == "1" else 1)
 
 
+class TestHelperPool:
+    """The helper's executor is made at import, and again in a forked child;
+    its thread starts on the first split."""
+
+    def test_import_starts_no_thread(self):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, threading; sys.path.insert(0, sys.argv[1]); "
+             "import metricboost; from metricboost import linalg; "
+             "print(threading.active_count()); linalg._WORKERS = 2; "
+             "linalg.run_halves(lambda *args: None, 2); print(threading.active_count())",
+             src], env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.split() == ["1", "2"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_a_split(self, set_workers):
+        set_workers(2)
+        linalg.run_halves(lambda *args: None, 2)  # the parent's helper thread is up
+        pid = os.fork()
+        if pid == 0:  # the child has none of the parent's threads
+            code = 1
+            try:
+                started = threading.Event()
+                seen = {}
+
+                def half(h, lo, hi):
+                    if h == 1:
+                        started.set()
+                    elif not started.wait(10):
+                        return  # the helper never started half 1
+                    seen[h] = threading.current_thread()
+
+                linalg.run_halves(half, 2)
+                if seen[0] is threading.main_thread() and seen[1] is not seen[0]:
+                    code = 0
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
 class TestRunParts:
     """`run_halves`: the caller runs the first half of the parts, the helper
     thread the second."""
@@ -118,7 +160,7 @@ class TestRunParts:
         assert seen[1][0] == "raise" and seen[1][1] is not threading.main_thread()
 
     def test_one_worker_runs_everything_on_the_caller(self, monkeypatch, set_workers):
-        monkeypatch.setattr(linalg, "_executor", None)  # calling it would fail
+        monkeypatch.setattr(linalg, "_pool", None)  # submitting to it would fail
         for workers, count in ((1, 3), (2, 1)):
             set_workers(workers)
             seen = []
@@ -129,7 +171,7 @@ class TestRunParts:
     def test_a_late_pool_thread_leaves_its_parts_to_the_caller(self, set_workers):
         set_workers(2)
         release = threading.Event()
-        busy = linalg._executor().submit(release.wait)  # holds the helper thread
+        busy = linalg._pool.submit(release.wait)  # holds the helper thread
         seen = []
         try:
             linalg.run_halves(lambda *args: seen.append((args, threading.current_thread())), 4)
@@ -189,7 +231,7 @@ class TestRunParts:
         # A half the helper has not started is cancelled.
         set_workers(2)
         release = threading.Event()
-        busy = linalg._executor().submit(release.wait)  # holds the helper thread
+        busy = linalg._pool.submit(release.wait)  # holds the helper thread
         ran = []
 
         def half(h, lo, hi):
@@ -203,7 +245,7 @@ class TestRunParts:
         finally:
             release.set()
             busy.result(timeout=10)
-        linalg._executor().submit(lambda: None).result(timeout=10)  # the helper is idle again
+        linalg._pool.submit(lambda: None).result(timeout=10)  # the helper is idle again
         assert ran == []
 
     def test_an_interrupted_caller_waits_for_a_started_half(self, set_workers):

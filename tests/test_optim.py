@@ -339,7 +339,7 @@ class TestHalves:
 
     def test_one_worker_sweeps_every_block_on_the_caller(self, monkeypatch, set_workers):
         set_workers(1)
-        monkeypatch.setattr(linalg, "_executor", None)  # calling it would fail
+        monkeypatch.setattr(linalg, "_pool", None)  # submitting to it would fail
         real = optim.run_halves
         calls = []
 

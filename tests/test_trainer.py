@@ -258,6 +258,13 @@ class TestRun:
         # No step runs, so the file is written after the loop: header only.
         assert (tmp_path / "m.csv").read_text() == "iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr\n"
 
+    def test_eval_features_of_another_width_are_refused(self, tmp_path):
+        cfg = TrainConfig(embedding_dim=8, num_groups=2, iterations=5, eval_interval=5)
+        with pytest.raises(InvalidArgument, match="^eval features have width 13, "
+                                                  "the model takes width 12$"):
+            run(cfg, _toy_set(), eval_fs=_toy_set(h=13), metrics_path=tmp_path / "m.csv")
+        assert not (tmp_path / "m.csv").exists()
+
     def test_deterministic_metrics(self, tmp_path):
         fs = _toy_set()
         cfg = TrainConfig(embedding_dim=8, num_groups=2, iterations=100,
