@@ -143,7 +143,7 @@ def feature_correlation(F, partition):
     for m, sl in enumerate(partition.slices()):
         group_of[sl] = m
     safe = np.where(valid, norms, 1.0)
-    Z = centered / safe
+    Z = np.divide(centered, safe, out=centered)
     corr = Z.T @ Z
     # Groups are contiguous and ascending, so entry (i, j) is a cross-group
     # pair with i < j exactly when group(i) < group(j): the mask picks the
@@ -282,6 +282,7 @@ def evaluate_model(model, fs, ks=(1, 2, 4, 8), weight_exponent=1.0, n_eval_pairs
     F = model.forward_batch(np.asarray(fs.features, dtype=np.float64))
     emb = model._weight_groups(F, weight_exponent)
     recall = recall_at_k(emb, fs.labels, ks)
+    del emb
     per_learner = per_learner_recall_at_1(F, model.partition, fs.labels)
     feature_corr = None
     clf_corr = None

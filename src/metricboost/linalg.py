@@ -15,8 +15,8 @@ already uses the cores, and splitting on top of it measured slower) and the
 CPU affinity mask (`os.cpu_count()` where there is no mask) holds at least
 two CPUs, and 1 otherwise. With one worker the
 caller runs everything and no thread is started. A half must only call
-numpy and write to memory the other half does not touch; `matmul`, the
-Recall@K block sweep and the optimizer's block sweep are the three users.
+numpy and write to memory the other half does not touch; `matmul` and the
+Recall@K block sweep are the two users.
 `matmul(A, B)` splits A's rows into halves and writes each into one
 preallocated output. It relies on the BLAS computing each output row of a
 product the same way whichever rows it is given with, so the result equals

@@ -3,16 +3,14 @@
 import numpy as np
 
 from .errors import InvalidArgument, NumericFailure
-from .linalg import run_halves
 
 # Moment vectors each kind keeps, in payload order.
 MOMENTS = {"sgd_momentum": ("vel",), "adam": ("m", "v")}
 
-# Elements per update block. Adam on 512 x 512 with one BLAS thread on 2
-# vCPUs, median of 280 alternated steps: in blocks of 8192 the two halves ran
-# slower than one (3.74 vs 3.20 ms), as the threads hand the GIL over around
-# every ufunc call; in blocks of 16384 to 32768 they ran faster (2.01-2.43 vs
-# 2.73-2.89 ms). Two halves hold four f64 scratch blocks, 768 KB at 24576.
+# Elements per update block. The update is elementwise, so the block size
+# moves no float bit; it bounds a step's scratch at two f64 blocks, 384 KiB.
+# Adam on 512 x 512 with one BLAS thread on 2 vCPUs took 2.3 ms a step, and
+# blocks of 24576 and 32768 ran within 2% of each other.
 _BLOCK = 24576
 
 # Largest |g| an Adam step accepts: g * g must stay finite.
@@ -29,13 +27,10 @@ class Optimizer:
     array in list order. The first step fixes the list of shapes (`layout`);
     every later step must pass arrays of those shapes in that order.
 
-    A step cuts each array's flat view into blocks of _BLOCK elements and
-    evaluates the update expressions on each block in their usual order with
-    `out=` into two block-sized scratch arrays, so it allocates no
-    array-sized temporaries. `linalg.run_halves` sweeps the blocks in two
-    halves of about equal element counts, each half with its own scratch.
-    The update is elementwise, so the halves move no float bit; they do
-    write at the same time, so no two parameter arrays may share memory.
+    A step walks each array's flat view in blocks of _BLOCK elements, in
+    list order on the calling thread, and evaluates the update expressions
+    on each block in their usual order with `out=` into one pair of
+    block-sized scratch arrays, so it allocates no array-sized temporaries.
     """
 
     def __init__(self, kind="adam", lr=1e-3, momentum=0.9,
@@ -71,10 +66,10 @@ class Optimizer:
 
         Shapes, gradients and parameters are checked before any state is
         touched: a mismatch, a NaN/Inf gradient (for Adam, also an entry with
-        |g| >= sqrt(float64 max), whose square overflows v), a parameter
-        array that is not writeable and C-contiguous, or two parameter arrays
-        that share memory refuses the whole step and leaves parameters,
-        moments, `t` and the layout exactly as they were.
+        |g| >= sqrt(float64 max), whose square overflows v) or a parameter
+        array that is not writeable and C-contiguous refuses the whole step
+        and leaves parameters, moments, `t` and the layout exactly as they
+        were.
         """
         if len(params) != len(grads):
             raise InvalidArgument(f"{len(params)} params but {len(grads)} gradients")
@@ -105,13 +100,6 @@ class Optimizer:
         for k, p in enumerate(params):
             if not (p.flags.c_contiguous and p.flags.writeable):
                 raise InvalidArgument(f"parameter array {k} is not writeable and C-contiguous")
-        # The halves update their arrays at the same time, so no two may
-        # share memory. Sorted by start, an overlap shows between neighbours.
-        spans = sorted((p.__array_interface__["data"][0], p.nbytes, k)
-                       for k, p in enumerate(params) if p.size)
-        for (start, nbytes, i), (following, _, j) in zip(spans, spans[1:]):
-            if following < start + nbytes:
-                raise InvalidArgument(f"parameter arrays {min(i, j)} and {max(i, j)} overlap")
         if self.layout is None:
             size = sum(p.size for p in params)
             self.buffers = {"flat": {key: np.zeros(size) for key in MOMENTS[self.kind]}}
@@ -119,31 +107,16 @@ class Optimizer:
         moments = [self.buffers["flat"][key] for key in MOMENTS[self.kind]]
         update = self._sgd_block if self.kind == "sgd_momentum" else self._adam_block
         self.t += 1
-        # One entry per block: its first element in the flat moment vectors,
-        # then its slices of p, g and each moment.
-        blocks = []
+        width = min(_BLOCK, max((p.size for p in params), default=0))
+        a, b = np.empty(width), np.empty(width)
         off = 0
         for p, g in zip(params, grads):
             flat_p, flat_g = p.reshape(-1), g.reshape(-1)
             for lo in range(0, p.size, _BLOCK):
                 hi = min(lo + _BLOCK, p.size)
-                blocks.append((off + lo, flat_p[lo:hi], flat_g[lo:hi],
-                               *[mom[off + lo:off + hi] for mom in moments]))
+                update(flat_p[lo:hi], flat_g[lo:hi],
+                       *[mom[off + lo:off + hi] for mom in moments], a[:hi - lo], b[:hi - lo])
             off += p.size
-        width = min(_BLOCK, max((p.size for p in params), default=0))
-
-        # run_halves counts the flat layout in units of _BLOCK elements, and a
-        # half runs the blocks that start in its units: the halves meet at a
-        # block boundary near the middle, and a step of at most one block
-        # runs whole on the caller.
-        def sweep(_, lo, hi):
-            a, b = np.empty(width), np.empty(width)
-            for start, *arrays in blocks:
-                if lo * _BLOCK <= start < hi * _BLOCK:
-                    n = arrays[0].size
-                    update(*arrays, a[:n], b[:n])
-
-        run_halves(sweep, -(-off // _BLOCK))
 
     def _sgd_block(self, p, g, vel, a, _):
         """vel <- mu vel + g;  p <- p - lr vel, with scratch `a`."""

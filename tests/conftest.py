@@ -1,8 +1,6 @@
-import threading
-
 import pytest
 
-from metricboost import linalg, optim
+from metricboost import linalg
 
 
 @pytest.fixture
@@ -29,23 +27,3 @@ def across_workers(monkeypatch, set_workers):
             results.append(fn())
         return results
     return run
-
-
-@pytest.fixture
-def helper_takes_half_1(monkeypatch):
-    """The optimizer's `run_halves` holds the first half until the helper
-    thread has started the second, so that a split step never falls back to
-    running both halves on the caller."""
-    real = optim.run_halves
-
-    def run_halves(fn, count):
-        started = threading.Event()
-
-        def half(h, lo, hi):
-            if h == 1:
-                started.set()
-            elif linalg.workers() > 1 and count > 1:
-                assert started.wait(10)
-            fn(h, lo, hi)
-        real(half, count)
-    monkeypatch.setattr(optim, "run_halves", run_halves)

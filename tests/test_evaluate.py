@@ -5,7 +5,7 @@ import pytest
 
 from metricboost import evaluate
 from metricboost.data_io import FeatureSet, SynthSpec, synth_gaussian
-from metricboost.ensemble import EnsembleModel, GroupPartition, init_model
+from metricboost.ensemble import EnsembleModel, GroupPartition, init_model, preset_partition
 from metricboost.errors import InvalidArgument, UndefinedCorrelation
 from metricboost.evaluate import (
     EvalReport,
@@ -501,6 +501,24 @@ class TestEvaluateModel:
         model = init_model(make_rng(3), 128, GroupPartition((32, 48, 64)))
         reports = across_workers(lambda: evaluate_model(model, fs, ks=(1, 2, 4, 8)).csv())
         assert reports[1] == reports[0]
+
+    def test_memory_bounded_in_embedding_arrays(self, set_workers):
+        # The ensemble ranking sets the peak at about 3.4 N x d arrays: F, the
+        # weighted ensemble and one 256 x N score buffer per worker. Later
+        # stages hold no weighted ensemble, and the feature correlation
+        # scales its centered copy in place.
+        set_workers(2)
+        fs = synth_gaussian(SynthSpec(classes=400, per_class=5, feature_dim=512, seed=1))
+        model = init_model(make_rng(2), 512, preset_partition(512, 3))
+        evaluate_model(model, fs, ks=(1, 2, 4, 8))  # warm-up
+        tracemalloc.start()
+        try:
+            evaluate_model(model, fs, ks=(1, 2, 4, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, d = fs.features.shape
+        assert peak < 3.6 * n * d * 8
 
     def test_eval_pairs_deterministic(self):
         labels = np.repeat(np.arange(5), 6)

@@ -10,12 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from metricboost import evaluate, linalg, optim, trainer
+from metricboost import evaluate, linalg, trainer
 from metricboost.data_io import SynthSpec, synth_gaussian
 from metricboost.ensemble import GroupPartition, init_model
 from metricboost.errors import InvalidArgument
 from metricboost.linalg import make_child_rng, make_rng
-from metricboost.optim import Optimizer
 
 
 class TestRng:
@@ -361,8 +360,7 @@ class TestTracerSafety:
     its span stack is not thread-safe."""
 
     @pytest.mark.filterwarnings("ignore:init solver left")
-    def test_traced_functions_run_on_the_main_thread(self, monkeypatch, set_workers,
-                                                     helper_takes_half_1):
+    def test_traced_functions_run_on_the_main_thread(self, monkeypatch, set_workers):
         set_workers(2)
         monkeypatch.setattr(linalg, "_PART_MACS", 1 << 22)  # split the 2000-row products
         calls, off_main = [], []
@@ -386,16 +384,6 @@ class TestTracerSafety:
             return rank_block(*args)
 
         monkeypatch.setattr(evaluate, "_rank_block", spy)
-        # init_solver's 64 x 64 W is 4 blocks of 1024, so its SGD sweep splits.
-        monkeypatch.setattr(optim, "_BLOCK", 1024)
-        block_threads = set()
-        sgd_block = Optimizer._sgd_block
-
-        def block_spy(*args):
-            block_threads.add(threading.current_thread())
-            return sgd_block(*args)
-
-        monkeypatch.setattr(Optimizer, "_sgd_block", block_spy)
 
         fs = synth_gaussian(SynthSpec(classes=200, per_class=10, feature_dim=64, seed=5))
         model = init_model(make_rng(6), 64, GroupPartition((32, 64)))
@@ -405,4 +393,3 @@ class TestTracerSafety:
         assert off_main == []
         assert {"evaluate.recall_at_k", "ensemble.forward_batch", "optim.step"} <= set(calls)
         assert len(pool_threads) == 2  # the sweep did run on a pool thread
-        assert len(block_threads) == 2  # and so did half of each optimizer step
