@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -140,6 +142,14 @@ def _same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.fixture(params=[1, 2], ids=["1worker", "2workers"])
+def workers(request, set_workers):
+    """linalg's worker count for this test. The step sweeps every block on
+    the caller whatever the count, so both give the same bytes and refusals."""
+    set_workers(request.param)
+    return request.param
+
+
 class TestBlockedUpdate:
     """The block walk against the whole-array expressions it replaced."""
 
@@ -150,7 +160,7 @@ class TestBlockedUpdate:
                    (0,), (3, B + 1), (2,), (1,)]
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-    def test_bit_identical_to_whole_array_update(self, kind):
+    def test_bit_identical_to_whole_array_update(self, kind, workers):
         rng = np.random.default_rng(40)
         # Mixed scales per array, so m/c1 and sqrt(v/c2) cover many exponents.
         scales = [10.0 ** rng.integers(-6, 4) for _ in self.SHAPES]
@@ -168,7 +178,7 @@ class TestBlockedUpdate:
             assert _same_bytes(buf, ref.buffers["flat"][key])
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-    def test_nan_in_last_block_of_last_array_refuses_step(self, kind):
+    def test_nan_in_last_block_of_last_array_refuses_step(self, kind, workers):
         rng = np.random.default_rng(41)
         shapes = [(7,), (2 * self.B + 10,)]
         params = [rng.standard_normal(s) for s in shapes]
@@ -191,7 +201,7 @@ class TestBlockedUpdate:
         assert np.all(p == -(1e-10 * 1e308))
 
     @pytest.mark.parametrize("big", [1e160, -1e160, optim._ADAM_GRAD_BOUND])
-    def test_adam_gradient_that_overflows_v_refused_without_mutation(self, big):
+    def test_adam_gradient_that_overflows_v_refused_without_mutation(self, big, workers):
         rng = np.random.default_rng(43)
         shapes = [(5,), (self.B + 3,)]
         params = [rng.standard_normal(s) for s in shapes]
@@ -230,7 +240,7 @@ class TestBlockedUpdate:
         assert back.optimizer.t == 1
 
     @pytest.mark.parametrize("param", [np.zeros((4, 3)).T, np.zeros((4, 3))[:, :2]])
-    def test_non_contiguous_parameter_refused(self, param):
+    def test_non_contiguous_parameter_refused(self, param, workers):
         # The block walk updates a flat view of each parameter; a copy would
         # silently drop the update.
         opt = Optimizer(kind="adam", lr=0.1)
@@ -238,8 +248,7 @@ class TestBlockedUpdate:
             opt.step([np.zeros(2), param], [np.ones(2), np.ones(param.shape)])
         assert opt.layout is None and opt.t == 0
 
-    def test_adam_step_allocates_no_array_sized_temporaries(self, set_workers):
-        set_workers(2)
+    def test_adam_step_allocates_no_array_sized_temporaries(self, workers):
         rng = np.random.default_rng(42)
         W = rng.standard_normal((512, 512))
         opt = Optimizer(kind="adam", lr=1e-3)
@@ -281,6 +290,78 @@ class TestBlockedUpdate:
         set_workers(2)
         monkeypatch.setattr(linalg, "_pool", None)  # submitting to it would fail
         self._assert_adversarial_steps_match(kind, steps=2)
+
+    def test_one_worker_sweeps_every_block_on_the_caller(self, monkeypatch, set_workers):
+        set_workers(1)
+        real = Optimizer._adam_block
+        calls = []
+
+        def spy(self, p, *args):
+            calls.append((p.size, threading.current_thread()))
+            return real(self, p, *args)
+
+        monkeypatch.setattr(Optimizer, "_adam_block", spy)
+        self._assert_adversarial_steps_match("adam", steps=1)
+        # Each array's flat view in _BLOCK slices, array by array in list order.
+        sizes = [min(self.B, n - lo) for n in (int(np.prod(s)) for s in self.ADVERSARIAL)
+                 for lo in range(0, n, self.B)]
+        assert calls == [(n, threading.main_thread()) for n in sizes]
+
+    def test_stress_two_workers(self, monkeypatch, set_workers):
+        # Small blocks and a short switch interval: a step that handed blocks
+        # to another thread, or lost a write, would change the bytes.
+        monkeypatch.setattr(optim, "_BLOCK", 64)
+        shapes = [(40, 50), (), (63,), (65,), (7, 64)]
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2):
+                set_workers(count)
+                rng = np.random.default_rng(46)
+                params = [rng.standard_normal(s) for s in shapes]
+                opt = Optimizer(kind="adam", lr=0.01)
+                for _ in range(20):
+                    opt.step(params, [rng.standard_normal(s) for s in shapes])
+                state = [*params, *opt.buffers["flat"].values()]
+                runs.append(b"".join(a.tobytes() for a in state))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1]
+
+
+class TestOverlap:
+    """Parameter arrays that share memory take their updates one after the
+    other, in list order, as whole-array updates would."""
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    @pytest.mark.parametrize("views", [
+        lambda base: [base[:4], np.zeros(3), base[2:6]],
+        lambda base: [base[:6], base[:6]],
+        lambda base: [base[5:7], np.zeros(1), base],
+    ], ids=["overlapping", "same_array_twice", "view_inside_larger"])
+    def test_overlapping_arrays_update_in_list_order(self, kind, views):
+        rng = np.random.default_rng(47)
+        base = rng.standard_normal(10)
+        want_base = base.copy()
+        params, want = views(base), views(want_base)
+        opt = Optimizer(kind=kind, lr=0.1)
+        ref = Optimizer(kind=kind, lr=0.1)
+        for _ in range(3):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            opt.step(params, grads)
+            whole_array_step(ref, want, grads)
+        assert _same_bytes(base, want_base)
+        assert all(_same_bytes(p, w) for p, w in zip(params, want))
+        for key, buf in ref.buffers["flat"].items():
+            assert _same_bytes(opt.buffers["flat"][key], buf)
+
+    def test_adjacent_and_empty_views_accepted(self):
+        base = np.zeros(8)
+        params = [base[4:], base[:4], base[4:4], base[:0]]
+        Optimizer(kind="sgd_momentum", lr=1.0, momentum=0.0).step(
+            params, [np.full(p.shape, float(k + 1)) for k, p in enumerate(params)])
+        np.testing.assert_array_equal(base, [-2.0] * 4 + [-1.0] * 4)
 
 
 class TestConvergence:
