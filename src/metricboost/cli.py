@@ -226,6 +226,9 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory given as a file, a denied permission, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

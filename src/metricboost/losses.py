@@ -50,18 +50,6 @@ class LossSpec:
             raise InvalidArgument(f"beta2 must be finite, got {self.beta2!r}")
 
 
-def _softplus(z):
-    # log(1 + e^z), stable for large |z|: max(z, 0) + log1p(e^-|z|).
-    z = np.asarray(z, dtype=np.float64)
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def pair_loss_vec(spec, s, y):
     """Vectorized pair loss. Returns (loss, dloss_ds) arrays matching `s`."""
     if spec.kind not in PAIR_KINDS:
@@ -70,14 +58,16 @@ def pair_loss_vec(spec, s, y):
     y = np.asarray(y)
     if not np.all((y == 0) | (y == 1)):
         raise InvalidArgument("pair labels must be 0 or 1")
-    yf = y.astype(np.float64)
     if spec.kind == "binomial_deviance":
-        sign = 2.0 * yf - 1.0
-        cost = np.where(y == 1, spec.cost_pos, spec.cost_neg)
-        zs = -sign * spec.beta1 * cost  # dz/ds
+        zs = np.where(y == 1, -spec.beta1 * spec.cost_pos, spec.beta1 * spec.cost_neg)  # dz/ds
         z = zs * (s - spec.beta2)
-        return _softplus(z), _sigmoid(z) * zs
+        # Stable for large |z|: e = exp(-|z|) lies in (0, 1], so nothing
+        # overflows. softplus(z) = max(z, 0) + log1p(e), and sigmoid(z) is
+        # 1 / (1 + e) for z >= 0, e / (1 + e) otherwise.
+        e = np.exp(-np.abs(z))
+        return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0.0, 1.0, e) / (1.0 + e) * zs
     # contrastive; hinge inactive exactly at the margin
+    yf = y.astype(np.float64)
     m = spec.margin_contrastive
     hinge = np.maximum(0.0, s - m)
     loss = (1.0 - yf) * hinge + yf * (s - 1.0) ** 2

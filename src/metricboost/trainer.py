@@ -12,6 +12,7 @@ uninterrupted one bit for bit.
 
 from dataclasses import dataclass, field
 import logging
+import os
 import warnings
 
 import numpy as np
@@ -30,7 +31,7 @@ from .ensemble import (
     preset_partition,
     proportional_partition,
 )
-from .errors import InvalidArgument, NumericFailure
+from .errors import FormatError, InvalidArgument, NumericFailure
 from .evaluate import evaluate_model
 from .linalg import make_child_rng, make_rng
 from .losses import LossSpec
@@ -379,10 +380,34 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _open_metrics(path):
+def _open_metrics(path, append):
+    if append:
+        return open(path, "a", encoding="utf-8")
     fh = open(path, "w", encoding="utf-8")
     fh.write(METRICS_HEADER + "\n")
     return fh
+
+
+def _check_metrics_tail(path, start_iter):
+    """Refuse to append to a metrics file that a run resumed at `start_iter`
+    would not continue: one that lacks the header line or the final newline,
+    or whose last row's iteration is no integer (FormatError), and one whose
+    last row is past `start_iter` (InvalidArgument)."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    if not text.endswith("\n") or lines[0] != METRICS_HEADER:
+        raise FormatError(f"{path}: not a metrics file: it must start with the line "
+                          f"{METRICS_HEADER!r} and end with a newline")
+    if len(lines) > 1:
+        cell = lines[-1].split(",", 1)[0]
+        try:
+            last = int(cell)
+        except ValueError:
+            raise FormatError(f"{path}: last row has iteration {cell!r}") from None
+        if last > start_iter:
+            raise InvalidArgument(f"{path}: last row is iteration {last}, past the "
+                                  f"checkpoint's iteration {start_iter}")
 
 
 def _eval_row(cfg, model, fs, iteration):
@@ -428,6 +453,9 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
     (`fs` or `eval_fs`) whose width is not the model's input width. The
     metrics CSV gains one row per eval interval:
     iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr
+    A run resumed at an iteration k > 0 appends to an existing metrics file
+    once its header and last row (at most k) are checked; a refused file is
+    left as it was. Otherwise the file is written anew.
     """
     spec = cfg.loss_spec()
     mine = "triplets" if spec.kind == "triplet" else "pairs"
@@ -453,6 +481,10 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
             beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps,
         )
 
+    append = bool(metrics_path) and start_iter > 0 and os.path.exists(metrics_path)
+    if append:
+        _check_metrics_tail(metrics_path, start_iter)
+
     class_idx = fs.class_indices()
     eval_data = eval_fs if eval_fs is not None else fs
     rows = []
@@ -467,7 +499,7 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
             except NumericFailure as exc:
                 raise NumericFailure(f"iteration {it}: {exc}") from exc
             if metrics_path and fh is None:
-                fh = _open_metrics(metrics_path)
+                fh = _open_metrics(metrics_path, append)
             if step.n_skipped:
                 log.debug("iteration %d: skipped %d degenerate items", it, step.n_skipped)
             if cfg.eval_interval and (it + 1) % cfg.eval_interval == 0:
@@ -481,7 +513,7 @@ def run(cfg, fs, eval_fs=None, resume=None, metrics_path=None):
                     fh.write(",".join(_fmt(v) for v in row) + "\n")
                     fh.flush()
         if metrics_path and fh is None:
-            fh = _open_metrics(metrics_path)
+            fh = _open_metrics(metrics_path, append)
     finally:
         if fh:
             fh.close()

@@ -21,7 +21,9 @@ adversarial loss that builds every W-sized sum as a new array, and
 gradients through new arrays; and `triu_feature_correlation`, the earlier
 `feature_correlation` that gathers cross-group pairs through
 `np.triu_indices`; and `per_class_indices`, the earlier
-`FeatureSet.class_indices` with one label comparison per class.
+`FeatureSet.class_indices` with one label comparison per class; and
+`two_pass_pair_loss`, the earlier binomial deviance whose softplus and
+sigmoid each compute exp(-|z|).
 """
 
 from dataclasses import dataclass
@@ -245,6 +247,23 @@ def per_learner_triplet_trace(spec, schedule, scores_pos, scores_neg):
             spec, scores_pos[..., m], scores_neg[..., m]
         )
     return acc_pos, acc_neg, w, losses, w * dpos, w * dneg
+
+
+def two_pass_pair_loss(spec, s, y):
+    """The binomial branch of `pair_loss_vec` as a softplus and a sigmoid
+    pass over z, with dz/ds built from sign and cost arrays. Returns
+    (loss, dloss_ds)."""
+    s = np.asarray(s, dtype=np.float64)
+    y = np.asarray(y)
+    yf = y.astype(np.float64)
+    sign = 2.0 * yf - 1.0
+    cost = np.where(y == 1, spec.cost_pos, spec.cost_neg)
+    zs = -sign * spec.beta1 * cost
+    z = zs * (s - spec.beta2)
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z))
+    sigmoid = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return softplus, sigmoid * zs
 
 
 def label_lookup_sample_batch(fs, P, K, rng, mine="pairs"):

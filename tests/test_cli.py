@@ -171,6 +171,61 @@ class TestTrain:
         assert rows.count(b"\n") == 2
         assert rows == (tmp_path / "resumed.csv").read_bytes()
 
+    def test_resume_appends_to_its_metrics_file(self, tmp_path, train_cfg, data_file):
+        train = ["train", "--data", str(data_file), "--config", str(train_cfg),
+                 "--set", "eval_interval=20"]
+        full, csv = tmp_path / "full.csv", tmp_path / "m.csv"
+        assert main(train + ["--out", str(tmp_path / "full.ckpt"), "--metrics", str(full)]) == 0
+        assert main(train + ["--out", str(tmp_path / "half.ckpt"), "--metrics", str(csv),
+                             "--set", "iterations=40"]) == 0
+        assert csv.read_bytes().count(b"\n") == 3
+        assert main(train + ["--out", str(tmp_path / "r.ckpt"), "--metrics", str(csv),
+                             "--resume", str(tmp_path / "half.ckpt")]) == 0
+        assert full.read_bytes().count(b"\n") == 5
+        assert csv.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("content,code,message", [
+        (b"", 2, "not a metrics file"),
+        (b"iter,loss\n20,0.5\n", 2, "not a metrics file"),
+        (b"iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr", 2, "not a metrics file"),
+        (b"iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr\nx,1,2,3,4,5\n", 2,
+         "last row has iteration 'x'"),
+        (b"iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr\n20,1,2,3,4,5\n60,1,2,3,4,5\n",
+         1, "last row is iteration 60, past the checkpoint's iteration 40"),
+    ], ids=["empty", "other-header", "no-final-newline", "bad-iteration", "row-past-resume"])
+    def test_resume_refuses_a_metrics_file_it_cannot_continue(self, tmp_path, train_cfg,
+                                                              data_file, capsys, content,
+                                                              code, message):
+        half = tmp_path / "half.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(half), "--set", "iterations=40"]) == 0
+        csv = tmp_path / "m.csv"
+        csv.write_bytes(content)
+        capsys.readouterr()
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--metrics", str(csv),
+                     "--resume", str(half), "--set", "eval_interval=20"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {csv}: {message}")
+        assert not (tmp_path / "r.ckpt").exists()
+        assert csv.read_bytes() == content
+
+    def test_model_only_resume_rewrites_its_metrics_file(self, tmp_path, train_cfg,
+                                                         data_file):
+        # A checkpoint without training state starts at iteration 0: a fresh run.
+        init = tmp_path / "init.ckpt"
+        save_checkpoint(init, init_model(make_rng(0), 12, GroupPartition((2, 6))))
+        csv = tmp_path / "m.csv"
+        csv.write_bytes(b"left over\n")
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--metrics", str(csv),
+                     "--resume", str(init), "--set", "iterations=20",
+                     "--set", "eval_interval=20"]) == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "iter,loss_metric,loss_div,r_at_1,feat_corr,clf_corr"
+        assert [line.split(",")[0] for line in lines[1:]] == ["20"]
+
     @pytest.mark.parametrize("first,second", [
         (["--set", "diversity=adversarial"], []),
         (["--set", "diversity=adversarial"], ["--set", "diversity=adversarial",
@@ -659,3 +714,42 @@ class TestArgumentRobustness:
               "--out", str(other)])
         assert main(["eval", "--data", str(other), "--ckpt", str(ckpt),
                      "--ks", "1"]) == 1
+
+
+class TestFileErrors:
+    """An OSError other than a missing file, such as a directory where a
+    file belongs, exits 2 with one error line and no traceback."""
+
+    @pytest.mark.parametrize("command,reason", [
+        ("eval-data-dir", "Is a directory"),
+        ("eval-data-under-file", "Not a directory"),
+        ("train-config-dir", "Is a directory"),
+        ("gen-out-dir", "Is a directory"),
+        ("train-out-dir", "Is a directory"),  # fails at the save, after the run
+    ], ids=["eval-data-dir", "eval-data-under-file", "train-config-dir", "gen-out-dir",
+            "train-out-dir"])
+    def test_exits_2_writing_nothing(self, tmp_path, synth_cfg, train_cfg, data_file, capsys,
+                                     command, reason):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_model(make_rng(0), 12, GroupPartition((4, 4))))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = {
+            "eval-data-dir": ["eval", "--data", str(folder), "--ckpt", str(ckpt)],
+            "eval-data-under-file": ["eval", "--data", str(data_file / "x"),
+                                     "--ckpt", str(ckpt)],
+            "train-config-dir": ["train", "--data", str(data_file), "--config", str(folder),
+                                 "--out", str(tmp_path / "out.ckpt"),
+                                 "--metrics", str(tmp_path / "m.csv")],
+            "gen-out-dir": ["gen", "--spec", str(synth_cfg), "--out", str(folder)],
+            "train-out-dir": ["train", "--data", str(data_file), "--config", str(train_cfg),
+                              "--out", str(folder)],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert reason in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not list(tmp_path.rglob("*.tmp"))

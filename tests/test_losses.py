@@ -12,7 +12,7 @@ from metricboost.losses import (
     pair_loss_vec,
     triplet_loss_vec,
 )
-from oracles import central_difference
+from oracles import central_difference, two_pass_pair_loss
 
 
 def sigmoid(z):
@@ -66,6 +66,47 @@ class TestBinomialDeviance:
         neg, _ = pair_loss_vec(spec, s, np.zeros(1000, dtype=int))
         assert np.all(np.diff(pos) < 0.0)  # decreasing in s for y=1
         assert np.all(np.diff(neg) > 0.0)  # increasing in s for y=0
+
+
+class TestOnePassMatchesTwoPass:
+    """The one-pass binomial deviance computes exp(-|z|) and 1 + e once;
+    every loss and derivative bit must equal the softplus/sigmoid form."""
+
+    @staticmethod
+    def assert_bytes_equal(spec, s, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pair_loss_vec(spec, s, y)
+            want = two_pass_pair_loss(spec, s, y)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_random_scores_both_labels(self):
+        rng = make_rng(11)
+        s = rng.uniform(-1.0, 1.0, size=(2016, 3))
+        y = rng.integers(0, 2, size=(2016, 1))
+        for spec in (LossSpec(), LossSpec(beta1=3.5, beta2=-0.2, cost_pos=2.0, cost_neg=7.0)):
+            for labels in (y, np.zeros_like(y), np.ones_like(y)):
+                self.assert_bytes_equal(spec, s, labels)
+
+    def test_score_at_beta2_gives_signed_zero_z(self):
+        # z is -0.0 for y=1 and +0.0 for y=0; both take the z >= 0 branch.
+        spec = LossSpec()
+        self.assert_bytes_equal(spec, np.full(2, spec.beta2), np.array([1, 0]))
+
+    def test_exp_underflows_to_zero(self):
+        spec = LossSpec(beta1=1e3, cost_pos=1e3, cost_neg=1e3)
+        s = np.array([-1.0, -0.5, 0.9, 1.0, -1.0, -0.5, 0.9, 1.0])
+        y = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        assert np.all(np.exp(-np.abs(1e6 * (s - spec.beta2))) == 0.0)
+        self.assert_bytes_equal(spec, s, y)
+
+    def test_infinite_dz_ds(self):
+        spec = LossSpec(beta1=1e300, cost_neg=1e10)
+        s = np.array([-1.0, 0.4, 0.5, 0.6, 1.0] * 2)
+        y = np.repeat([0, 1], 5)
+        assert np.isinf(spec.beta1 * spec.cost_neg)
+        self.assert_bytes_equal(spec, s, y)
 
 
 class TestContrastive:
