@@ -6,8 +6,10 @@ Set BIER_LOG=debug|info|warning to control verbosity.
 """
 
 import argparse
+import errno
 import logging
 import os
+import stat
 import sys
 
 import numpy as np
@@ -56,6 +58,16 @@ def _parse_sets(pairs):
     return out
 
 
+def _check_output_path(path):
+    """Raise now the OSError that writing `path` would raise after the work:
+    `path` is a directory, or its parent is missing or not a directory."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    parent = os.path.dirname(path) or "."
+    if not stat.S_ISDIR(os.stat(parent).st_mode):  # a missing parent raises here
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), parent)
+
+
 def cmd_gen(args):
     overrides = _parse_sets(args.set)
     spec = config_mod.build_synth_spec(config_mod.parse_config_file(args.spec), overrides)
@@ -74,6 +86,7 @@ def cmd_init(args):
         from dataclasses import replace
         cfg = replace(cfg, diversity="activation")
     kind = cfg.diversity
+    _check_output_path(args.out)
     fs = read_features(args.data)
     rng = make_rng(cfg.seed)
     model, bank = build_model(cfg, fs.feature_dim, rng)
@@ -99,6 +112,9 @@ def cmd_init(args):
 def cmd_train(args):
     overrides = _parse_sets(args.set)
     cfg = config_mod.build_train_config(config_mod.parse_config_file(args.config), overrides)
+    for path in (args.out, args.metrics):
+        if path:
+            _check_output_path(path)
     fs = read_features(args.data)
     resume = ckpt_io.load_checkpoint(args.resume) if args.resume else None
     result = run(cfg, fs, resume=resume, metrics_path=args.metrics)

@@ -12,8 +12,8 @@ Two losses push the groups apart:
   i < j) is trained to map group j's vector onto group i's, maximizing the
   elementwise-product similarity (1/d_j) * sum_k (f_i_k * g(f_j)_k)^2. A
   gradient reversal sits between the embedding and the regressors: the
-  regressors descend toward higher similarity while the embedding receives
-  the sign-flipped similarity gradient and descends toward lower similarity.
+  regressors descend toward higher similarity while the embedding descends the
+  sign-flipped gradient +d(sim_term)/dW, toward lower similarity.
   Weight growth is kept in check by unit-norm penalties on regressor rows, a
   hinge on the concatenated biases, and the same column penalty on W. Those
   penalty gradients are never sign-flipped.
@@ -163,13 +163,8 @@ class AdversarialResult:
     sim_term: float  # (1/N) sum_n sum_{i<j} L_sim
     weight_term: float  # unscaled penalties (regressors + W columns)
     grad_W: np.ndarray  # embedding gradient: grad_W_sim + lambda_w * column-penalty gradient
-    grad_W_sim: np.ndarray  # similarity component of grad_W, reversal applied
+    grad_W_sim: np.ndarray  # +d(sim_term)/dW: the reversed path the embedding descends
     regressor_grads: RegressorBank  # gradient of the full loss, keyed like the bank
-
-    @property
-    def grad_W_sim_unreversed(self):
-        """The similarity gradient without the reversal layer."""
-        return -self.grad_W_sim
 
 
 def _regressor_pair(reg, u, vj, norm, lambda_w):

@@ -17,6 +17,11 @@ _BLOCK = 24576
 _ADAM_GRAD_BOUND = float(np.sqrt(np.finfo(np.float64).max))
 
 
+def _is_count(value):
+    """An int >= 0; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 class Optimizer:
     """Single-owner update rule over a fixed list of parameter arrays.
 
@@ -164,14 +169,21 @@ class Optimizer:
     @classmethod
     def from_state_dict(cls, state):
         """Inverse of `state_dict()`. Writable f64 moment vectors are adopted
-        without a copy; a missing moment raises KeyError."""
+        without a copy; a missing moment raises KeyError. A step count or
+        layout that is not made of ints >= 0 raises InvalidArgument."""
         opt = cls(
             kind=state["kind"], lr=state["lr"], momentum=state["momentum"],
             beta1=state["beta1"], beta2=state["beta2"], eps=state["eps"],
         )
-        opt.t = int(state["t"])
-        if state["layout"] is not None:
-            opt.layout = [tuple(shape) for shape in state["layout"]]
+        if not _is_count(state["t"]):
+            raise InvalidArgument(f"step count t must be an int >= 0, got {state['t']!r}")
+        opt.t = state["t"]
+        layout = state["layout"]
+        if layout is not None:
+            for shape in layout:
+                if not (isinstance(shape, (list, tuple)) and all(map(_is_count, shape))):
+                    raise InvalidArgument(f"layout shape {shape!r} is not a list of ints >= 0")
+            opt.layout = [tuple(shape) for shape in layout]
             flat = state["buffers"]["flat"]
             opt.buffers = {"flat": {key: np.require(flat[key], np.float64, ["C", "W"])
                                     for key in MOMENTS[opt.kind]}}

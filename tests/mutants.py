@@ -30,6 +30,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 Mutant = namedtuple("Mutant", "name file snippet replacement tests")
 
+# The acceptance test of each criterion.
+_ACCEPTANCE = "tests/test_acceptance.py::"
+C1 = _ACCEPTANCE + "TestCriterion1GradientFidelity"
+C2 = _ACCEPTANCE + "TestCriterion2BoostingIdentity"
+C3 = _ACCEPTANCE + "TestCriterion3ReductionEquivalence"
+C4 = _ACCEPTANCE + "TestCriterion4ReversalSignContract"
+C5 = _ACCEPTANCE + "TestCriterion5PaperPresets"
+C6 = _ACCEPTANCE + "TestCriterion6RecallOracle"
+C7 = _ACCEPTANCE + "TestCriterion7InitializationPostCondition"
+C8 = _ACCEPTANCE + "TestCriterion8DeskScaleTrend"
+C9 = _ACCEPTANCE + "TestCriterion9AdversarialTrend"
+C10 = _ACCEPTANCE + "TestCriterion10LossConstants"
+
 MUTANTS = [
     Mutant(
         "log1p-as-log", "src/metricboost/losses.py",
@@ -85,9 +98,62 @@ MUTANTS = [
         ["tests/test_boosting.py::TestBackwardPair::test_weight_after_first_stage"],
     ),
     Mutant(
-        "reversal-sign-flipped", "src/metricboost/diversity.py",
-        "        return -self.grad_W_sim\n", "        return self.grad_W_sim\n",
-        ["tests/test_diversity.py::TestAdversarialLossMatchesFullOracle::test_bytes"],
+        "reversal-source-path-flipped", "src/metricboost/diversity.py",
+        "grad_sim += matmul(phi.T, dF_source)", "grad_sim -= matmul(phi.T, dF_source)",
+        [C4, "tests/test_diversity.py::TestAdversarialLossMatchesFullOracle::test_bytes",
+         "tests/test_gradcheck.py::TestSuites::test_all_pass_on_fresh_build"],
+    ),
+    # One entry per acceptance criterion, each killed by that criterion's test.
+    Mutant(
+        "unit-norm-penalty-gradient-halved", "src/metricboost/diversity.py",
+        "grad = 4.0 * np.expand_dims(excess, axis) * mat",
+        "grad = 2.0 * np.expand_dims(excess, axis) * mat",
+        [C1, "tests/test_gradcheck.py::TestSuites::test_all_pass_on_fresh_build"],
+    ),
+    Mutant(
+        "accumulation-decay-dropped", "src/metricboost/boosting.py",
+        "prev = (1.0 - schedule.eta[m]) * prev + schedule.eta[m] * scores[..., m]",
+        "prev = prev + schedule.eta[m] * scores[..., m]",
+        [C2],
+    ),
+    Mutant(
+        "baseline-step-halved", "src/metricboost/trainer.py",
+        "        res = accumulate_plain_gradient(model, features, mined, spec)\n",
+        "        res = accumulate_plain_gradient(model, features, mined, spec)\n"
+        "        res.grad_W *= 0.5\n",
+        [C3],
+    ),
+    Mutant(
+        "preset-row-shifted", "src/metricboost/ensemble.py",
+        "(512, 3): (96, 160, 256),", "(512, 3): (96, 161, 255),",
+        [C5],
+    ),
+    Mutant(
+        "recall-counts-rank-k", "src/metricboost/evaluate.py",
+        "np.mean(first_hit < k)", "np.mean(first_hit <= k)",
+        [C6],
+    ),
+    Mutant(
+        "init-terms-swapped", "src/metricboost/trainer.py",
+        "initial_div_term=float(initial_term), final_div_term=float(term)",
+        "initial_div_term=float(term), final_div_term=float(initial_term)",
+        [C7],
+    ),
+    Mutant(
+        "boosted-route-as-baseline", "src/metricboost/boosting.py",
+        "    return _gram_gradient(model, model.partition, model.schedule, features, batch, spec)\n",
+        "    return accumulate_plain_gradient(model, features, batch, spec)\n",
+        [C8],
+    ),
+    Mutant(
+        "embedding-ascends-similarity", "src/metricboost/diversity.py",
+        "    grad_W += grad_sim\n", "    grad_W -= grad_sim\n",
+        [C9],
+    ),
+    Mutant(
+        "beta2-default-moved", "src/metricboost/losses.py",
+        "beta2: float = 0.5", "beta2: float = 0.4",
+        [C10],
     ),
 ]
 

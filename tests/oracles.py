@@ -374,7 +374,6 @@ class FullAdversarialResult:
     weight_term: float
     grad_W: np.ndarray
     grad_W_sim: np.ndarray
-    grad_W_sim_unreversed: np.ndarray
     regressor_grads: RegressorBank
 
 
@@ -443,7 +442,6 @@ def full_adversarial_loss(model, bank, features, lambda_w):
 
     grad_sim_target = matmul(phi.T, dF_target)
     grad_sim_source = matmul(phi.T, dF_source)
-    grad_unrev = -(grad_sim_target + grad_sim_source)
     grad_sim = grad_sim_target + grad_sim_source
 
     loss = -sim_term + lambda_w * penalty
@@ -453,7 +451,6 @@ def full_adversarial_loss(model, bank, features, lambda_w):
         weight_term=penalty,
         grad_W=grad_sim + lambda_w * grad_w_pen,
         grad_W_sim=grad_sim,
-        grad_W_sim_unreversed=grad_unrev,
         regressor_grads=RegressorBank(reg_grads),
     )
 

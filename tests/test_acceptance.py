@@ -15,7 +15,7 @@ from metricboost.data_io import SynthSpec, synth_gaussian, split
 from metricboost.diversity import RegressorBank, adversarial_loss
 from metricboost.ensemble import GroupPartition, init_model, make_schedule
 from metricboost.evaluate import evaluate_model, recall_at_k
-from metricboost.gradcheck import run_suites
+from metricboost.gradcheck import central_diff, rel_error, run_suites
 from metricboost.linalg import make_rng
 from metricboost.losses import LossSpec, pair_loss
 from metricboost.trainer import TrainConfig, build_model, init_solver, run
@@ -117,7 +117,9 @@ class TestCriterion3ReductionEquivalence:
 
 
 class TestCriterion4ReversalSignContract:
-    def test_embedding_gradient_is_exact_negation(self):
+    def test_embedding_gradient_matches_central_difference(self):
+        """The embedding descends +d(sim_term)/dW, the sign-flipped gradient of
+        the loss's -sim_term; a flip on either path reads about 2."""
         rng = make_rng(77)
         worst = 0.0
         for _ in range(20):
@@ -125,11 +127,11 @@ class TestCriterion4ReversalSignContract:
             bank = RegressorBank.create(rng, model.partition, hidden=6)
             X = rng.standard_normal((5, 8))
             res = adversarial_loss(model, bank, X, lambda_w=0.7)
-            worst = max(worst, float(np.max(np.abs(
-                res.grad_W_sim + res.grad_W_sim_unreversed
-            ))))
-        ok = worst <= 1e-12
-        assert _report(4, "gradient reversal sign contract", ok, f"max dev={worst:.2e}")
+            fd = central_diff(
+                lambda _: adversarial_loss(model, bank, X, lambda_w=0.7).sim_term, model.W)
+            worst = max(worst, rel_error(res.grad_W_sim, fd))
+        ok = worst < 1e-5
+        assert _report(4, "gradient reversal sign contract", ok, f"worst rel={worst:.2e}")
 
 
 class TestCriterion5PaperPresets:

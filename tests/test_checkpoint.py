@@ -34,6 +34,18 @@ def write_name_keyed_checkpoint(path, model, iteration=3):
     path.write_bytes(path.read_bytes()[:-1] + state)
 
 
+def rewrite_optimizer_header(path, **changes):
+    """Set keys of the optimizer header in the checkpoint at `path`, with the
+    header's length prefix rewritten and every byte after the header kept."""
+    data = path.read_bytes()
+    start = data.index(b'{"kind"')
+    (length,) = struct.unpack("<I", data[start - 4:start])
+    header = json.loads(data[start:start + length])
+    blob = json.dumps({**header, **changes}).encode("utf-8")
+    path.write_bytes(data[:start - 4] + struct.pack("<I", len(blob)) + blob
+                     + data[start + length:])
+
+
 def poison_f64(path, arr, k=0, value=np.nan):
     """Overwrite element k of the saved copy of `arr` in the checkpoint at
     `path` with `value`; returns that element's byte offset."""
@@ -192,6 +204,23 @@ class TestTrainState:
         with pytest.raises(FormatError, match="malformed optimizer state"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("change", [
+        {"t": -5},
+        {"t": 2.5},
+        {"layout": [[-6], [42]]},  # 36 elements in all, as saved
+        {"layout": [[True]] * 36},
+    ], ids=["negative-t", "fractional-t", "negative-dim", "bool-dims"])
+    def test_bad_step_count_or_layout_rejected(self, tmp_path, change):
+        model = _model()
+        opt = Optimizer(kind="adam", lr=0.01)
+        opt.step([model.W], [np.ones(model.W.shape)])
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, model, iteration=1, optimizer=opt)
+        rewrite_optimizer_header(path, **change)
+        want = f"^{re.escape(str(path))}: malformed optimizer state: "
+        with pytest.raises(FormatError, match=want):
+            load_checkpoint(path)
+
     def test_name_keyed_optimizer_rejected(self, tmp_path):
         path = tmp_path / "old.ckpt"
         write_name_keyed_checkpoint(path, _model())
@@ -322,6 +351,26 @@ class TestCorruptContent:
         want = f"^{re.escape(str(path))}: non-finite {what} at offset {off}$"
         with pytest.raises(FormatError, match=want):
             load_checkpoint(path)
+
+    def test_every_proper_prefix_is_refused_but_the_model_block(self, tmp_path):
+        # A full checkpoint cut anywhere raises FormatError, except right
+        # after the model block, where a model-only checkpoint may end.
+        full = tmp_path / "t.ckpt"
+        W = self._save_full(full)["W"]
+        model_only = tmp_path / "m.ckpt"
+        save_checkpoint(model_only, load_checkpoint(full).model)
+        model_end = model_only.stat().st_size - 1  # less its train-state flag
+        data = full.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for k in range(len(data)):
+            cut.write_bytes(data[:k])
+            if k == model_end:
+                back = load_checkpoint(cut)
+                assert back.iteration == 0 and back.optimizer is None and back.bank is None
+                assert back.model.W.tobytes() == W.tobytes()
+            else:
+                with pytest.raises(FormatError):
+                    load_checkpoint(cut)
 
     @pytest.mark.parametrize("d,sizes,message", [
         (0, (), "partition needs at least one group"),

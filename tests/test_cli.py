@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from metricboost import cli
 from metricboost.checkpoint import load_checkpoint, save_checkpoint
 from metricboost.cli import main
 from metricboost.data_io import read_features
 from metricboost.diversity import RegressorBank
 from metricboost.ensemble import GroupPartition, init_model
 from metricboost.linalg import make_rng
-from test_checkpoint import poison_f64, write_bare_model, write_name_keyed_checkpoint
+from test_checkpoint import (
+    poison_f64,
+    rewrite_optimizer_header,
+    write_bare_model,
+    write_name_keyed_checkpoint,
+)
 
 
 @pytest.fixture
@@ -413,6 +419,23 @@ class TestTrain:
         assert capsys.readouterr().err == (
             f"error: {half}: malformed optimizer state: beta1 must be in [0, 1), got 1.0\n")
 
+    def test_resume_from_checkpoint_with_negative_step_count_exits_2(
+            self, tmp_path, train_cfg, data_file, capsys):
+        half = tmp_path / "half.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(half), "--set", "iterations=2"]) == 0
+        rewrite_optimizer_header(half, t=-5)
+        capsys.readouterr()
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(tmp_path / "r.ckpt"), "--resume", str(half),
+                     "--metrics", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {half}: malformed optimizer state: "
+            "step count t must be an int >= 0, got -5\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_weights_are_not_saved(self, tmp_path, train_cfg, data_file, capsys):
         ckpt = tmp_path / "big.ckpt"
@@ -725,11 +748,24 @@ class TestFileErrors:
         ("eval-data-under-file", "Not a directory"),
         ("train-config-dir", "Is a directory"),
         ("gen-out-dir", "Is a directory"),
-        ("train-out-dir", "Is a directory"),  # fails at the save, after the run
+        ("train-out-dir", "Is a directory"),
+        ("train-out-dir-metrics", "Is a directory"),
+        ("train-metrics-dir", "Is a directory"),
+        ("init-out-dir", "Is a directory"),
+        ("init-out-under-file", "Not a directory"),
+        ("train-metrics-missing-parent", "file not found"),
     ], ids=["eval-data-dir", "eval-data-under-file", "train-config-dir", "gen-out-dir",
-            "train-out-dir"])
+            "train-out-dir", "train-out-dir-metrics", "train-metrics-dir", "init-out-dir",
+            "init-out-under-file", "train-metrics-missing-parent"])
     def test_exits_2_writing_nothing(self, tmp_path, synth_cfg, train_cfg, data_file, capsys,
-                                     command, reason):
+                                     monkeypatch, command, reason):
+        # Output paths are checked before any work: training or the init
+        # solve would be lost at the final write.
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the output paths were checked")
+
+        monkeypatch.setattr(cli, "run", no_work)
+        monkeypatch.setattr(cli, "init_solver", no_work)
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, init_model(make_rng(0), 12, GroupPartition((4, 4))))
         folder = tmp_path / "folder"
@@ -744,6 +780,20 @@ class TestFileErrors:
             "gen-out-dir": ["gen", "--spec", str(synth_cfg), "--out", str(folder)],
             "train-out-dir": ["train", "--data", str(data_file), "--config", str(train_cfg),
                               "--out", str(folder)],
+            "train-out-dir-metrics": ["train", "--data", str(data_file),
+                                      "--config", str(train_cfg), "--out", str(folder),
+                                      "--metrics", str(tmp_path / "m.csv")],
+            "train-metrics-dir": ["train", "--data", str(data_file), "--config", str(train_cfg),
+                                  "--out", str(tmp_path / "out.ckpt"),
+                                  "--metrics", str(folder)],
+            "init-out-dir": ["init", "--data", str(data_file), "--config", str(train_cfg),
+                             "--out", str(folder)],
+            "init-out-under-file": ["init", "--data", str(data_file), "--config", str(train_cfg),
+                                    "--out", str(data_file / "out.ckpt")],
+            "train-metrics-missing-parent": ["train", "--data", str(data_file),
+                                             "--config", str(train_cfg),
+                                             "--out", str(tmp_path / "out.ckpt"),
+                                             "--metrics", str(tmp_path / "no" / "m.csv")],
         }[command]
         before = sorted(tmp_path.rglob("*"))
         assert main(argv) == 2

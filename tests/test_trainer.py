@@ -517,7 +517,7 @@ class TestSplitIsBitIdentical:
                    for key in bank.keys() for name in ("W1", "b1", "W2", "b2")]
             return (repr((act.loss, act.sup_term, adv.loss, adv.sim_term)),
                     act.grad_W.tobytes(), adv.grad_W.tobytes(),
-                    adv.grad_W_sim_unreversed.tobytes(), reg)
+                    adv.grad_W_sim.tobytes(), reg)
 
         _same_across_workers(across_workers(losses))
 
