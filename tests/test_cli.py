@@ -740,8 +740,8 @@ class TestArgumentRobustness:
 
 
 class TestFileErrors:
-    """An OSError other than a missing file, such as a directory where a
-    file belongs, exits 2 with one error line and no traceback."""
+    """An OSError for a path, such as a directory where a file belongs or a
+    missing parent directory, exits 2 with one error line and no traceback."""
 
     @pytest.mark.parametrize("command,reason", [
         ("eval-data-dir", "Is a directory"),
