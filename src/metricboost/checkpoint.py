@@ -179,8 +179,30 @@ def _write_optimizer(fh, opt):
         _write_f64(fh, arr, f"optimizer {key}")
 
 
+def _read_header(rd, what):
+    """The JSON header `what`: a u32 length, then UTF-8 JSON text."""
+    blob = rd.blob(f"{what} header")
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
+        raise FormatError(f"{rd.path}: malformed {what} header: {exc}") from None
+
+
+def _read_rng_state(rd):
+    """The RNG header: {} for none, else a state a PCG64 bit generator takes."""
+    state = _read_header(rd, "rng state")
+    if state == {}:
+        return None
+    try:
+        np.random.PCG64().state = state
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{rd.path}: malformed rng state header: not a PCG64 state "
+                          f"({type(exc).__name__}: {exc})") from None
+    return state
+
+
 def _read_optimizer(rd):
-    header = json.loads(rd.blob("optimizer header").decode("utf-8"))
+    header = _read_header(rd, "optimizer")
     try:
         size = sum(math.prod(shape) for shape in header["layout"] or [])
         moments = {key: rd.f64_array(size, f"optimizer {key}") for key in header["moments"]}
@@ -259,7 +281,7 @@ def load_checkpoint(path):
             rd.expect_end()
             return Checkpoint(model=model)
         iteration = rd.u64("iteration")
-        rng_state = json.loads(rd.blob("rng state").decode("utf-8")) or None
+        rng_state = _read_rng_state(rd)
         optimizer = _read_optimizer(rd) if rd.u8("optimizer flag") else None
         bank = _read_bank(rd) if rd.u8("bank flag") else None
         rd.expect_end()

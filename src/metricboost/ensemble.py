@@ -201,7 +201,20 @@ class EnsembleModel:
         Exponent 1.0 matches the stated weighting; 0.5 makes dot products of
         two embeddings equal the ensemble score sum(alpha_m * s_m) exactly.
         Every row therefore has the same norm, sqrt(sum_m alpha_m ** (2 e)).
-        A group scale that underflows to 0 or overflows float64 raises
+        A scale outside float64 raises InvalidArgument (`_group_scales`), a
+        zero group norm DegenerateInput (`_group_norms`).
+        """
+        scales = self._group_scales(weight_exponent)
+        out = np.empty_like(full)
+        for sl, scale, norms in zip(self.partition.slices(), scales, self._group_norms(full)):
+            np.multiply(scale, full[:, sl], out=out[:, sl])
+            out[:, sl] /= norms[:, None]
+        return out
+
+    def _group_scales(self, weight_exponent):
+        """alpha_m ** weight_exponent for each group.
+
+        A scale that underflows to 0 or overflows float64 raises
         InvalidArgument: it would zero the group or fill it with inf.
         """
         scales = []
@@ -216,14 +229,20 @@ class EnsembleModel:
                     f"({alpha!r} ** {weight_exponent!r}) outside float64"
                 )
             scales.append(scale)
-        out = np.empty_like(full)
+        return scales
+
+    def _group_norms(self, full):
+        """Row L2 norms of each group of raw outputs `full` (n, d): M arrays (n,).
+
+        A zero norm raises DegenerateInput: the group has no direction there.
+        """
+        out = []
         for m, sl in enumerate(self.partition.slices()):
             norms = np.linalg.norm(full[:, sl], axis=1)
             if np.any(norms == 0.0):
                 bad = int(np.flatnonzero(norms == 0.0)[0])
                 raise DegenerateInput(f"group {m} produced a zero embedding for row {bad}")
-            np.multiply(scales[m], full[:, sl], out=out[:, sl])
-            out[:, sl] /= norms[:, None]
+            out.append(norms)
         return out
 
     def copy(self):

@@ -1,34 +1,44 @@
 """Retrieval and diversity diagnostics.
 
 `evaluate_model` runs the embedding forward once, F = model.forward_batch(X),
-and derives every diagnostic from F: the weighted ensemble embedding, the
-per-learner Recall@1 and both correlations.
+and derives every diagnostic from F: the ensemble Recall@K, each learner's
+Recall@1 and both correlations.
 
-Recall@K ranks every other sample by dot-product similarity of the
-inference-time embeddings (ties broken by ascending sample index) and scores
-a query as hit when any of its top K carries the query's label. So a query
-needs only the rank of its first hit: the same-label sample with the best
-score, at the lowest index among equal scores. Its rank is the number of
-samples scoring above it plus the number scoring the same at a lower index,
-which equals its position in a full sort exactly. It is one row-blocked pass:
-each block of _BLOCK query rows is scored against all N samples and the two
-counts are taken per row. A query with no other sample of its label has best
-score -inf (the masked self score) and rank N - 1, so it is a miss for every
-valid K. With K_max = 1 the block takes the first maximum per row (argmax),
-which is the same tie rule in one pass over the scores. With two
-workers (`linalg.run_halves`) the caller ranks the first half of the blocks
-and the helper thread the second. Each half scores its blocks into its own
-(_BLOCK, N) buffer, allocated by the caller once per call, and writes only
-those blocks' rows of the result, so the result does not depend on the
-worker count or on which thread ranked which half. Memory is
-O(workers * _BLOCK * N): per half, 256 * N * 8 bytes of score buffer and
-at most 3 bytes of boolean masks per score.
-Non-finite embeddings raise InvalidArgument, and so do rows whose squared
-norm exceeds half the float64 maximum: that bound keeps every similarity
+Recall@K ranks every other sample by similarity (ties broken by ascending
+sample index) and scores a query as hit when any of its top K carries the
+query's label. So a query needs only the rank of its first hit: the
+same-label sample with the best score, at the lowest index among equal
+scores. Its rank is the number of samples scoring above it plus the number
+scoring the same at a lower index, which equals its position in a full sort
+exactly. A query with no other sample of its label has best score -inf (the
+masked self score) and rank N - 1, so it is a miss for every valid K. With
+K_max = 1 the block takes the first maximum per row (argmax), which is the
+same tie rule in one pass over the scores.
+
+Every ranking is one row-blocked sweep over the unit rows U_m of the groups
+(`_sweep`). For each block of _BLOCK query rows and each group m, the group
+block G_m = U_m[rows] @ U_m.T is scored with the self score masked; its first
+maximum per row gives learner m's Recall@1. The ensemble block is
+S = sum_m w_m G_m with w_m = (alpha_m ** e) ** 2: group m of the weighted
+ensemble embedding is alpha_m ** e * U_m, so S holds the dot products of
+those embeddings, up to rounding, and is ranked as above. So one sweep
+does d N^2 multiply-adds for the ensemble and every learner. `recall_at_k`
+is the same sweep over one unweighted group, its embeddings as given, and
+`per_learner_recall_at_1` the sweep without an ensemble.
+
+With two workers (`linalg.run_halves`) the caller ranks the first half of
+the blocks and the helper thread the second. Each half has its own (_BLOCK,
+N) buffers, allocated by the caller once per call: S, and G when weighted
+groups are summed. A half writes only its blocks' rows of the results, so
+they do not depend on the worker count or on which thread ranked which half.
+Memory is O(workers * _BLOCK * N): per half at most two float64 buffers of
+_BLOCK * N scores and 3 bytes of boolean masks per score. `evaluate_model`
+computes the correlations first and frees F before the sweep, which then
+holds the unit rows, as large as F, and those buffers.
+Non-finite embeddings raise InvalidArgument, and so do similarities that can
+exceed half the float64 maximum (a row's squared norm for `recall_at_k`, the
+sum of the weights for the ensemble): that bound keeps every similarity
 finite, so it is checked once instead of on every block.
-
-Per-learner Recall@1 is one such K = 1 pass per group over the group's unit
-rows.
 
 The two correlation diagnostics quantify ensemble redundancy, lower meaning
 more diverse: feature correlation is the mean absolute Pearson correlation
@@ -47,34 +57,75 @@ from .linalg import make_rng, run_halves, workers
 
 log = logging.getLogger(__name__)
 
-_BLOCK = 256  # query rows per similarity block
+_BLOCK = 128  # query rows per similarity block
+_MAX_SIMILARITY = np.finfo(np.float64).max / 2  # the factor 2 absorbs rounding
 
 
-def _rank_block(E, labels, lo, kmax, S, first_hit):
-    """Score query rows lo.. against all of E into S and set their first_hit.
+def _rank_block(units, weights, labels, lo, kmax, buffers, miss, first_hit):
+    """Score query rows lo.. of every group; set their rows of miss and first_hit.
 
-    Runs on the helper thread too, so it calls numpy only.
+    Group m scores into the first buffer, S, when it is the first group or
+    nothing is weighted, and into the second, G, otherwise; weighted, it is
+    summed into S. Runs on the helper thread too, so it calls numpy only.
     """
+    S = buffers[0]
     rows = slice(lo, lo + len(S))
-    np.matmul(E[rows], E.T, out=S)
     q = np.arange(len(S))
+    for m, U in enumerate(units):
+        G = buffers[1] if m and weights is not None else S
+        np.matmul(U[rows], U.T, out=G)
+        if miss is not None:  # first maximum: lowest index wins ties
+            G[q, lo + q] = -np.inf
+            miss[m, rows] = labels[G.argmax(axis=1)] != labels[rows]
+        if weights is not None:
+            G[q, lo + q] = 0.0  # a weight that underflowed to 0 times -inf is nan
+            G *= weights[m]
+            if m:
+                S += G
+    if first_hit is None:
+        return
     S[q, lo + q] = -np.inf
-    if kmax == 1:  # first maximum: lowest index wins ties
+    if kmax == 1:
         first_hit[rows] = labels[S.argmax(axis=1)] != labels[rows]
         return
     same = labels[rows, None] == labels
     best = np.max(S, axis=1, where=same, initial=-np.inf, keepdims=True)
     tie = S == best
     first = (same & tie).argmax(axis=1)[:, None]
-    tie &= np.arange(len(E)) < first  # ties ranked before the first hit
+    tie &= np.arange(S.shape[1]) < first  # ties ranked before the first hit
     rank = np.count_nonzero(S > best, axis=1) + np.count_nonzero(tie, axis=1)
     first_hit[rows] = np.minimum(rank, kmax)
 
 
-def recall_at_k(embeddings, labels, ks):
-    """Recall@K for each K in `ks` over a single embedded sample set."""
-    E = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
+def _sweep(units, labels, kmax, weights=None, learners=False):
+    """Rank the queries of the groups `units`, each (n, d_m), in one pass.
+
+    Returns (first_hit, miss). first_hit (n,) is each query's first-hit rank
+    capped at kmax under the ensemble score sum_m weights[m] U_m U_m^T, or
+    under the only group's own scores without weights; None for kmax 0.
+    miss (M, n) flags each learner's Recall@1 misses; None unless `learners`.
+    """
+    n = len(labels)
+    first_hit = np.empty(n, dtype=np.intp) if kmax else None
+    miss = np.empty((len(units), n), dtype=bool) if learners else None
+    blocks = range(0, n, _BLOCK)
+    # Each half's buffers are allocated here: a buffer allocated on the
+    # helper thread would come from its own malloc arena.
+    count = 2 if weights is not None and len(units) > 1 else 1
+    scratch = [[np.empty((min(_BLOCK, n), n)) for _ in range(count)]
+               for _ in range(min(workers(), len(blocks)))]
+
+    def rank(half, first, stop):
+        for lo in blocks[first:stop]:
+            buffers = [b[:min(_BLOCK, n - lo)] for b in scratch[half]]
+            _rank_block(units, weights, labels, lo, kmax, buffers, miss, first_hit)
+
+    run_halves(rank, len(blocks))
+    return first_hit, miss
+
+
+def _checked_ks(E, labels, ks):
+    """The Recall@K checks on embeddings E (n, d) and their labels; ks as ints."""
     if E.ndim != 2 or E.shape[0] != labels.shape[0]:
         raise InvalidArgument("embeddings and labels disagree")
     n = E.shape[0]
@@ -87,22 +138,22 @@ def recall_at_k(embeddings, labels, ks):
         raise InvalidArgument(f"K must be < number of samples ({n})")
     if not np.isfinite(E).all():
         raise InvalidArgument("embeddings must be finite")
-    # |S_ij| <= max_i ||e_i||^2 (Cauchy-Schwarz); the factor 2 absorbs rounding.
-    if np.einsum("ij,ij->i", E, E).max() > np.finfo(np.float64).max / 2:
-        raise InvalidArgument("similarities overflow float64")
-    kmax = max(ks)
-    first_hit = np.empty(n, dtype=np.intp)  # rank of the first same-label neighbour
-    blocks = range(0, n, _BLOCK)
-    # One score buffer per half of the split, allocated here: a buffer
-    # allocated on the helper thread would come from its own malloc arena.
-    scores = [np.empty((min(_BLOCK, n), n)) for _ in range(min(workers(), len(blocks)))]
+    return ks
 
-    def rank(half, first, stop):
-        for lo in blocks[first:stop]:
-            _rank_block(E, labels, lo, kmax, scores[half][:min(_BLOCK, n - lo)], first_hit)
 
-    run_halves(rank, len(blocks))
+def _recall(first_hit, ks):
     return {k: float(np.mean(first_hit < k)) for k in sorted(set(ks))}
+
+
+def recall_at_k(embeddings, labels, ks):
+    """Recall@K for each K in `ks` over a single embedded sample set."""
+    E = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    ks = _checked_ks(E, labels, ks)
+    # |S_ij| <= max_i ||e_i||^2 (Cauchy-Schwarz).
+    if np.einsum("ij,ij->i", E, E).max() > _MAX_SIMILARITY:
+        raise InvalidArgument("similarities overflow float64")
+    return _recall(_sweep([E], labels, max(ks))[0], ks)
 
 
 def per_learner_recall_at_1(F, partition, labels):
@@ -112,13 +163,15 @@ def per_learner_recall_at_1(F, partition, labels):
     and scores 0 against every sample.
     """
     F = np.asarray(F, dtype=np.float64)
-    out = []
+    labels = np.asarray(labels)
+    _checked_ks(F, labels, [1])
+    units = []
     for sl in partition.slices():
         sub = F[:, sl]
         norms = np.linalg.norm(sub, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        out.append(recall_at_k(sub / norms, labels, [1])[1])
-    return out
+        units.append(sub / norms)
+    return [float(np.mean(~m)) for m in _sweep(units, labels, 0, learners=True)[1]]
 
 
 def feature_correlation(F, partition):
@@ -280,20 +333,26 @@ def evaluate_model(model, fs, ks=(1, 2, 4, 8), weight_exponent=1.0, n_eval_pairs
     if not np.isfinite(weight_exponent):
         raise InvalidArgument(f"weight_exponent must be finite, got {weight_exponent!r}")
     F = model.forward_batch(np.asarray(fs.features, dtype=np.float64))
-    emb = model._weight_groups(F, weight_exponent)
-    recall = recall_at_k(emb, fs.labels, ks)
-    del emb
-    per_learner = per_learner_recall_at_1(F, model.partition, fs.labels)
+    labels = np.asarray(fs.labels)
+    weights = [s * s for s in model._group_scales(weight_exponent)]
+    norms = model._group_norms(F)
+    ks = _checked_ks(F, labels, ks)  # F is finite exactly when the unit rows are
+    # |S_ij| <= sum_m w_m: the cosines of a group are at most 1 in magnitude.
+    if sum(weights) > _MAX_SIMILARITY:
+        raise InvalidArgument("similarities overflow float64")
     feature_corr = None
     clf_corr = None
     if model.num_groups >= 2:
         feature_corr = feature_correlation(F, model.partition)
         rng = make_rng(pair_seed)
-        ia, ib = make_eval_pairs(fs.labels, rng, max_pairs=n_eval_pairs)
+        ia, ib = make_eval_pairs(labels, rng, max_pairs=n_eval_pairs)
         clf_corr = classifier_correlation(F, model.partition, ia, ib)
+    units = [F[:, sl] / r[:, None] for sl, r in zip(model.partition.slices(), norms)]
+    del F  # the sweep needs only the unit rows
+    first_hit, miss = _sweep(units, labels, max(ks), weights, learners=True)
     return EvalReport(
-        recall_at=recall,
+        recall_at=_recall(first_hit, ks),
         feature_corr=feature_corr,
         clf_corr=clf_corr,
-        per_learner_r1=per_learner,
+        per_learner_r1=[float(np.mean(~m)) for m in miss],
     )

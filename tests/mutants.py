@@ -92,6 +92,38 @@ MUTANTS = [
         ["tests/test_evaluate.py::TestBlockedRecall::test_wide_tie_below_distinct_scores"],
     ),
     Mutant(
+        "ensemble-weight-dropped", "src/metricboost/evaluate.py",
+        "            G *= weights[m]\n", "",
+        ["tests/test_evaluate.py::TestFusedSweep::test_block_edges",
+         "tests/test_evaluate.py::TestEvaluateModel::test_report_equals_the_separate_passes"],
+    ),
+    Mutant(
+        "learner-self-mask-dropped", "src/metricboost/evaluate.py",
+        "            G[q, lo + q] = -np.inf\n", "",
+        ["tests/test_evaluate.py::TestPerLearnerRecall::test_random_sets",
+         "tests/test_evaluate.py::TestFusedSweep::test_block_edges",
+         "tests/test_evaluate.py::TestFusedSweep::test_tie_cases",
+         "tests/test_evaluate.py::TestEvaluateModel::test_report_equals_the_separate_passes"],
+    ),
+    Mutant(
+        "self-score-kept-for-weighting", "src/metricboost/evaluate.py",
+        "            G[q, lo + q] = 0.0  # a weight that underflowed to 0 times -inf is nan\n", "",
+        ["tests/test_evaluate.py::TestFusedSweep::test_underflowed_weight_drops_its_group"],
+    ),
+    Mutant(
+        "header-decode-errors-escape", "src/metricboost/checkpoint.py",
+        "    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are\n",
+        "    except KeyError as exc:\n",
+        ["tests/test_checkpoint.py::TestCorruptContent::test_flipped_header_byte_is_refused",
+         "tests/test_cli.py::TestCorruptContent::test_flipped_rng_header_byte_exits_2"],
+    ),
+    Mutant(
+        "rng-header-not-loaded", "src/metricboost/checkpoint.py",
+        "        np.random.PCG64().state = state\n", "        pass\n",
+        ["tests/test_checkpoint.py::TestCorruptContent::"
+         "test_rng_header_that_pcg64_refuses_is_refused"],
+    ),
+    Mutant(
         "boosting-weight-ones", "src/metricboost/boosting.py",
         "w[..., 1:] = boosting_weight_vec(spec, s=acc[..., :-1], y=y)",
         "w[..., 1:] = 1.0",

@@ -46,6 +46,13 @@ def rewrite_optimizer_header(path, **changes):
                      + data[start + length:])
 
 
+def flip_byte(path, off, mask):
+    """XOR the byte at `off` of the file at `path` with `mask`."""
+    data = bytearray(path.read_bytes())
+    data[off] ^= mask
+    path.write_bytes(bytes(data))
+
+
 def poison_f64(path, arr, k=0, value=np.nan):
     """Overwrite element k of the saved copy of `arr` in the checkpoint at
     `path` with `value`; returns that element's byte offset."""
@@ -134,7 +141,8 @@ class TestModelBlock:
         path = tmp_path / "m.ckpt"
         if full:
             opt = Optimizer(kind="adam", lr=0.01)
-            save_checkpoint(path, _model(), iteration=3, rng_state={"s": 1}, optimizer=opt,
+            state = make_rng(2).bit_generator.state
+            save_checkpoint(path, _model(), iteration=3, rng_state=state, optimizer=opt,
                             bank=RegressorBank.create(make_rng(1), _model().partition, hidden=4))
         else:
             save_checkpoint(path, _model())
@@ -336,7 +344,8 @@ class TestCorruptContent:
             arr[...] = rng.standard_normal(arr.shape)
         opt = Optimizer(kind="adam", lr=0.01)
         opt.step(arrays, [rng.standard_normal(a.shape) for a in arrays])
-        save_checkpoint(path, model, iteration=1, optimizer=opt, bank=bank)
+        save_checkpoint(path, model, iteration=1, rng_state=rng.bit_generator.state,
+                        optimizer=opt, bank=bank)
         names = ("W", "backbone weight", "backbone bias", "bank W1", "bank b1",
                  "bank W2", "bank b2")
         named = dict(zip(names, arrays))
@@ -371,6 +380,33 @@ class TestCorruptContent:
             else:
                 with pytest.raises(FormatError):
                     load_checkpoint(cut)
+
+    @pytest.mark.parametrize("flip", [0x01, 0xFF], ids=["not-json", "not-utf-8"])
+    @pytest.mark.parametrize("what,first", [("rng state", b'{"bit_generator"'),
+                                            ("optimizer", b'{"kind"')])
+    def test_flipped_header_byte_is_refused(self, tmp_path, what, first, flip):
+        # "{" ^ 0x01 is "z", which no JSON text starts with; "{" ^ 0xFF is
+        # 0x84, which no UTF-8 text starts with.
+        path = tmp_path / "t.ckpt"
+        self._save_full(path)
+        flip_byte(path, path.read_bytes().index(first), flip)
+        want = f"^{re.escape(str(path))}: malformed {what} header: "
+        with pytest.raises(FormatError, match=want):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("state", [
+        {"s": 1},
+        {"bit_generator": "MT19937", "state": {"key": [0], "pos": 0}},
+        {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1},
+         "has_uint32": 0, "uinteger": 0},
+        [1, 2],
+    ], ids=["no-bit-generator", "other-bit-generator", "negative-state", "list"])
+    def test_rng_header_that_pcg64_refuses_is_refused(self, tmp_path, state):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, _model(), iteration=1, rng_state=state)
+        want = f"^{re.escape(str(path))}: malformed rng state header: not a PCG64 state "
+        with pytest.raises(FormatError, match=want):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("d,sizes,message", [
         (0, (), "partition needs at least one group"),

@@ -9,6 +9,7 @@ from metricboost.diversity import RegressorBank
 from metricboost.ensemble import GroupPartition, init_model
 from metricboost.linalg import make_rng
 from test_checkpoint import (
+    flip_byte,
     poison_f64,
     rewrite_optimizer_header,
     write_bare_model,
@@ -479,9 +480,11 @@ class TestEval:
         ckpt = tmp_path / "model.ckpt"
         main(["train", "--data", str(data_file), "--config", str(train_cfg),
               "--out", str(ckpt)])
+        capsys.readouterr()
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt),
                      "--ks", "999"])
         assert code == 1
+        assert capsys.readouterr().err == "error: K must be < number of samples (36)\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_embeddings_exit_1(self, tmp_path, data_file, capsys):
@@ -493,7 +496,7 @@ class TestEval:
         save_checkpoint(ckpt, model)
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"])
         assert code == 1
-        assert "embeddings must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: embeddings must be finite\n"
 
     def test_renormalize_full_is_no_flag(self, tmp_path, data_file, capsys):
         ckpt = tmp_path / "m.ckpt"
@@ -548,7 +551,7 @@ class TestEval:
         code = main(["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1",
                      "--weight-exponent=-400"])
         assert code == 1
-        assert "similarities overflow float64" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: similarities overflow float64\n"
 
     def test_trailing_checkpoint_bytes_exit_2(self, tmp_path, train_cfg, data_file, capsys):
         ckpt = tmp_path / "model.ckpt"
@@ -599,6 +602,24 @@ class TestCorruptContent:
                      "--out", str(tmp_path / "r.ckpt"), "--resume", str(ckpt),
                      "--set", "diversity=adversarial"]) == 2
         assert f"{ckpt}: non-finite bank W1 at offset {off}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    def test_flipped_rng_header_byte_exits_2(self, tmp_path, train_cfg, data_file, capsys,
+                                             command):
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(data_file), "--config", str(train_cfg),
+                     "--out", str(ckpt), "--set", "iterations=2"]) == 0
+        flip_byte(ckpt, ckpt.read_bytes().index(b'{"bit_generator"'), 0xFF)
+        capsys.readouterr()
+        if command == "eval":
+            argv = ["eval", "--data", str(data_file), "--ckpt", str(ckpt), "--ks", "1"]
+        else:
+            argv = ["train", "--data", str(data_file), "--config", str(train_cfg),
+                    "--out", str(tmp_path / "r.ckpt"), "--resume", str(ckpt)]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {ckpt}: malformed rng state header: ")
 
     @pytest.mark.parametrize("d,sizes,message", [
         (0, (), "partition needs at least one group"),

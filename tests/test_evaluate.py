@@ -221,7 +221,7 @@ class TestBlockedRecall:
         finally:
             tracemalloc.stop()
         # A dense 4000 x 4000 float64 matrix alone would be 122 MiB. Each half
-        # holds a 256 x 4000 score buffer (8 bytes a score) and at most
+        # holds one _BLOCK x 4000 score buffer (8 bytes a score) and at most
         # 4 bytes of masks per score.
         assert peak < evaluate.workers() * evaluate._BLOCK * 4000 * 12 + 2**20
 
@@ -285,6 +285,64 @@ class TestPerLearnerRecall:
             per_learner_recall_at_1(F, self.PART, np.arange(9))
         with pytest.raises(InvalidArgument, match="at least 2 samples"):
             per_learner_recall_at_1(F[:1], self.PART, [0])
+
+
+def _tie_model(emb, labels):
+    """A tie case as a two-group model: its rows with a column of ones, then
+    with a column of twos. The raw outputs are integers, and no group row
+    has zero norm."""
+    n, d = emb.shape
+    W = np.hstack([np.eye(d + 1), np.diag(np.r_[np.ones(d), 2.0])])
+    model = EnsembleModel(W, GroupPartition((d + 1, d + 1)))
+    labels = np.asarray(labels)
+    fs = FeatureSet(labels=labels, features=np.hstack([emb, np.ones((n, 1))]),
+                    n_classes=int(labels.max()) + 1)
+    return model, fs
+
+
+class TestFusedSweep:
+    """evaluate_model's one sweep against the oracles: the ensemble against the
+    brute-force ranking of the weighted embeddings, each learner against the
+    K > 1 ranking of its unit rows."""
+
+    @staticmethod
+    def _reports(across_workers, model, fs, ks, exponent):
+        F = model.forward_batch(fs.features)
+        want = repr(({k: brute_force_recall(model._weight_groups(F, exponent), fs.labels, k)
+                      for k in sorted(set(ks))},
+                     per_group_recall_at_1(F, model.partition, fs.labels)))
+        got = across_workers(lambda: evaluate_model(model, fs, ks=ks, weight_exponent=exponent))
+        assert [repr((r.recall_at, r.per_learner_r1)) for r in got] == [want] * 2
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_block_edges(self, across_workers, exponent, extra):
+        n = evaluate._BLOCK + extra
+        rng = make_rng(60 + extra)
+        fs = FeatureSet(labels=rng.integers(0, 20, size=n), features=rng.standard_normal((n, 10)),
+                        n_classes=20)
+        model = init_model(make_rng(61), 10, GroupPartition((2, 3, 4)))
+        self._reports(across_workers, model, fs, (1, 2, 4, 8), exponent)
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("case", TIE_CASES, ids=lambda c: c.__name__[len("_case_"):])
+    def test_tie_cases(self, monkeypatch, across_workers, case, exponent):
+        monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        emb, labels, ks = case()
+        self._reports(across_workers, *_tie_model(emb, labels), ks, exponent)
+
+    def test_underflowed_weight_drops_its_group(self):
+        # alpha_1 ** 250 = 6 ** -250 is a finite scale, but its square is 0:
+        # the ensemble is the other two groups, and no self score turns nan.
+        rng = make_rng(62)
+        fs = FeatureSet(labels=rng.integers(0, 10, size=80),
+                        features=rng.standard_normal((80, 9)), n_classes=10)
+        model = init_model(make_rng(63), 9, GroupPartition((2, 3, 4)))
+        with np.errstate(all="raise"):
+            got = evaluate_model(model, fs, ks=(1, 4), weight_exponent=250.0)
+        F = model.forward_batch(fs.features)
+        rest = model._weight_groups(F, 250.0)[:, 2:]
+        assert got.recall_at == {k: brute_force_recall(rest, fs.labels, k) for k in (1, 4)}
 
 
 class TestFeatureCorrelation:
@@ -503,10 +561,10 @@ class TestEvaluateModel:
         assert reports[1] == reports[0]
 
     def test_memory_bounded_in_embedding_arrays(self, set_workers):
-        # The ensemble ranking sets the peak at about 3.4 N x d arrays: F, the
-        # weighted ensemble and one 256 x N score buffer per worker. Later
-        # stages hold no weighted ensemble, and the feature correlation
-        # scales its centered copy in place.
+        # The feature correlation sets the peak at about 3.0 N x d arrays: F,
+        # its centered copy and the squares np.linalg.norm takes of that. The
+        # sweep runs after F is freed and holds about 2.2: the unit rows plus
+        # two 128 x N score buffers per worker.
         set_workers(2)
         fs = synth_gaussian(SynthSpec(classes=400, per_class=5, feature_dim=512, seed=1))
         model = init_model(make_rng(2), 512, preset_partition(512, 3))
@@ -518,7 +576,7 @@ class TestEvaluateModel:
         finally:
             tracemalloc.stop()
         n, d = fs.features.shape
-        assert peak < 3.6 * n * d * 8
+        assert peak < 3.1 * n * d * 8
 
     def test_eval_pairs_deterministic(self):
         labels = np.repeat(np.arange(5), 6)

@@ -388,6 +388,8 @@ class TestTracerSafety:
         fs = synth_gaussian(SynthSpec(classes=200, per_class=10, feature_dim=64, seed=5))
         model = init_model(make_rng(6), 64, GroupPartition((32, 64)))
         evaluate.evaluate_model(model, fs)
+        # evaluate_model ranks in its own sweep; recall_at_k is traced too.
+        evaluate.recall_at_k(model.test_embeddings(fs.features), fs.labels, (1, 2))
         trainer.init_solver(fs.features, model, "activation", lambda_w=1.0, lr=1e-4,
                             max_iterations=3)
         assert off_main == []
