@@ -87,11 +87,19 @@ class Optimizer:
             raise InvalidArgument(
                 f"parameter layout {layout} does not match the optimizer's {self.layout}"
             )
-        # NaN fails both comparisons. Adam squares g into v, which overflows
+        # NaN fails every comparison. Adam squares g into v, which overflows
         # to inf once |g| reaches sqrt(max); a checkpoint would then hold it.
-        # The reductions allocate nothing; isfinite runs only on failure.
+        # One dot product passes a gradient whose sum of squares is below
+        # bound * bound: every square is at most that sum, so every |g| is
+        # below the bound. A NaN, an inf or a sum that overflows falls back to
+        # the per-entry max and min, which decide. Nothing is allocated;
+        # isfinite runs only on failure.
         bound = _ADAM_GRAD_BOUND if self.kind == "adam" else np.inf
+        with np.errstate(over="ignore"):  # an overflowed sum only falls back
+            small = [np.dot(g.reshape(-1), g.reshape(-1)) < bound * bound for g in grads]
         for k, g in enumerate(grads):
+            if small[k]:
+                continue
             if np.max(g, initial=-np.inf) < bound and np.min(g, initial=np.inf) > -bound:
                 continue
             if np.isfinite(g).all():

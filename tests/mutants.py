@@ -86,29 +86,76 @@ MUTANTS = [
         ["tests/test_gradcheck.py::TestHarness::test_central_diff_restores_x_when_f_raises"],
     ),
     Mutant(
-        "rank-tie-term-dropped", "src/metricboost/evaluate.py",
-        "np.count_nonzero(S > best, axis=1) + np.count_nonzero(tie, axis=1)",
-        "np.count_nonzero(S > best, axis=1)",
-        ["tests/test_evaluate.py::TestBlockedRecall::test_wide_tie_below_distinct_scores"],
+        "column-side-count-dropped", "src/metricboost/evaluate.py",
+        "                col_ahead[half, cols] += _ahead(", "                _ahead(",
+        ["tests/test_evaluate.py::TestBlockedRecall::test_real_block_size_with_ties",
+         "tests/test_evaluate.py::TestFusedSweep::test_tie_cases"],
+    ),
+    Mutant(
+        "tie-index-test-flipped", "src/metricboost/evaluate.py",
+        "        mask &= index < f\n        count += _count(mask, axis)\n",
+        "        mask &= index > f\n        count += _count(mask, axis)\n",
+        ["tests/test_evaluate.py::TestBlockedRecall::test_wide_tie_below_distinct_scores",
+         "tests/test_evaluate.py::TestBlockedRecall::"
+         "test_tie_cases_are_bit_identical_for_any_worker_count"
+         "[tie_reached_only_through_the_column_side]"],
+    ),
+    Mutant(
+        "best-over-every-column", "src/metricboost/evaluate.py",
+        "np.max(G, axis=-1, where=same, initial=-np.inf, out=best)",
+        "np.max(G, axis=-1, out=best)",
+        ["tests/test_evaluate.py::TestRecall::test_matches_brute_force",
+         "tests/test_evaluate.py::TestFusedSweep::test_block_edges"],
+    ),
+    Mutant(
+        "first-hit-as-sorted-position", "src/metricboost/evaluate.py",
+        "    return index[mask.argmax(axis=-1)]\n", "    return mask.argmax(axis=-1)\n",
+        ["tests/test_evaluate.py::TestBlockedRecall::"
+         "test_tie_cases_are_bit_identical_for_any_worker_count",
+         "tests/test_evaluate.py::TestFusedSweep::test_tie_cases"],
+    ),
+    Mutant(
+        "learner-column-side-dropped", "src/metricboost/evaluate.py",
+        "                    col_miss[half, m, cols] |= _beaten(", "                    _beaten(",
+        ["tests/test_evaluate.py::TestPerLearnerRecall::test_random_sets",
+         "tests/test_evaluate.py::TestFusedSweep::test_tie_cases"],
+    ),
+    Mutant(
+        "learner-tie-check-dropped", "src/metricboost/evaluate.py",
+        "        out |= mask.any(axis=axis)\n", "",
+        ["tests/test_evaluate.py::TestPerLearnerRecall::test_sign_valued_ties_at_the_top",
+         "tests/test_evaluate.py::TestFusedSweep::test_tie_cases"],
     ),
     Mutant(
         "ensemble-weight-dropped", "src/metricboost/evaluate.py",
-        "            G *= weights[m]\n", "",
-        ["tests/test_evaluate.py::TestFusedSweep::test_block_edges",
+        "                    G *= w[m]\n", "",
+        ["tests/test_evaluate.py::TestFusedSweep::test_tie_cases",
          "tests/test_evaluate.py::TestEvaluateModel::test_report_equals_the_separate_passes"],
     ),
     Mutant(
-        "learner-self-mask-dropped", "src/metricboost/evaluate.py",
-        "            G[q, lo + q] = -np.inf\n", "",
+        "self-mask-dropped", "src/metricboost/evaluate.py",
+        "            G[diag] = -np.inf  # no query ranks itself\n", "",
         ["tests/test_evaluate.py::TestPerLearnerRecall::test_random_sets",
          "tests/test_evaluate.py::TestFusedSweep::test_block_edges",
-         "tests/test_evaluate.py::TestFusedSweep::test_tie_cases",
-         "tests/test_evaluate.py::TestEvaluateModel::test_report_equals_the_separate_passes"],
+         "tests/test_evaluate.py::TestFusedSweep::test_tie_cases"],
     ),
     Mutant(
         "self-score-kept-for-weighting", "src/metricboost/evaluate.py",
-        "            G[q, lo + q] = 0.0  # a weight that underflowed to 0 times -inf is nan\n", "",
+        "                G[diag] = 0.0  # a weight that underflowed to 0 times -inf is nan\n", "",
         ["tests/test_evaluate.py::TestFusedSweep::test_underflowed_weight_drops_its_group"],
+    ),
+    Mutant(
+        "column-norm-running-sum-dropped", "src/metricboost/evaluate.py",
+        "        buf[0] = np.add.reduce(buf[:len(rows) + 1], axis=0)\n",
+        "        buf[0] = np.add.reduce(buf[1:len(rows) + 1], axis=0)\n",
+        ["tests/test_evaluate.py::TestFeatureCorrelation::"
+         "test_matches_triu_oracle_bytes_over_several_row_blocks"],
+    ),
+    Mutant(
+        "adam-dot-bound-loosened", "src/metricboost/optim.py",
+        "np.dot(g.reshape(-1), g.reshape(-1)) < bound * bound",
+        "np.dot(g.reshape(-1), g.reshape(-1)) < bound * bound * 4",
+        ["tests/test_optim.py::TestBlockedUpdate::test_adam_entry_at_the_bound_refused"],
     ),
     Mutant(
         "header-decode-errors-escape", "src/metricboost/checkpoint.py",

@@ -136,10 +136,56 @@ def _case_block_size_with_ties():
     return emb, rng.integers(0, 40, size=n), [1, 8]
 
 
+def _case_class_larger_than_the_block():
+    # One class of 2 _BLOCK + 3 rows: its segment is cut into three chunks.
+    rng = make_rng(28)
+    n = 3 * evaluate._BLOCK + 5
+    labels = rng.integers(1, 9, size=n)
+    labels[rng.permutation(n)[:2 * evaluate._BLOCK + 3]] = 0
+    return rng.integers(-2, 3, size=(n, 3)).astype(float), labels, [1, 4, 8]
+
+
+def _case_one_label():
+    # One segment and no column side: every query hits at every K.
+    rng = make_rng(29)
+    n = 2 * evaluate._BLOCK + 3
+    return rng.integers(-2, 3, size=(n, 2)).astype(float), np.full(n, 4), [1, 2, 8]
+
+
+def _case_every_label_distinct():
+    # No query has a same-label partner: its best is -inf, and it misses.
+    rng = make_rng(30)
+    n = 2 * evaluate._BLOCK + 3
+    return rng.integers(-2, 3, size=(n, 2)).astype(float), rng.permutation(n), [1, 2, 8]
+
+
+def _case_tie_reached_only_through_the_column_side():
+    # Labels alternate, _BLOCK rows each: label 0 is the first segment.
+    # Rows 4, 5, 11 and 20 are equal; the rest score 0 or -1 against them.
+    # Query 5 (label 1) has its best at row 11 and ties with rows 4 and 20
+    # of label 0, whose segment comes first, so those scores reach it only as
+    # columns: row 4 ranks ahead of row 11, row 20 does not.
+    rng = make_rng(31)
+    n = 2 * evaluate._BLOCK
+    emb = np.array([[0.0, 1.0], [0.0, 2.0], [-1.0, 1.0]])[rng.integers(0, 3, size=n)]
+    emb[[4, 5, 11, 20]] = [1.0, 0.0]
+    return emb, np.arange(n) % 2, [1, 2, 4]
+
+
+def _case_string_labels():
+    rng = make_rng(32)
+    n = 2 * evaluate._BLOCK + 9
+    names = np.array(["ant", "bee", "cat", "dog", "eel", "fox", "gnu"])
+    return (rng.integers(-2, 3, size=(n, 2)).astype(float), names[rng.integers(0, 7, size=n)],
+            [1, 2, 8])
+
+
 TIE_CASES = [_case_n_not_a_multiple_of_the_block, _case_n_smaller_than_one_block,
              _case_kmax_is_n_minus_one, _case_duplicate_rows,
              _case_wide_tie_below_distinct_scores, _case_ties_across_a_block_boundary,
-             _case_block_size_with_ties]
+             _case_block_size_with_ties, _case_class_larger_than_the_block, _case_one_label,
+             _case_every_label_distinct, _case_tie_reached_only_through_the_column_side,
+             _case_string_labels]
 
 
 class TestBlockedRecall:
@@ -221,8 +267,9 @@ class TestBlockedRecall:
         finally:
             tracemalloc.stop()
         # A dense 4000 x 4000 float64 matrix alone would be 122 MiB. Each half
-        # holds one _BLOCK x 4000 score buffer (8 bytes a score) and at most
-        # 4 bytes of masks per score.
+        # holds one score buffer of at most _BLOCK x 4000 (8 bytes a score)
+        # and at most 2 bytes of masks per score; the label-sorted copy of the
+        # embeddings, 2 MB, fits in what is left.
         assert peak < evaluate.workers() * evaluate._BLOCK * 4000 * 12 + 2**20
 
 
@@ -290,13 +337,13 @@ class TestPerLearnerRecall:
 def _tie_model(emb, labels):
     """A tie case as a two-group model: its rows with a column of ones, then
     with a column of twos. The raw outputs are integers, and no group row
-    has zero norm."""
+    has zero norm. Labels become class ids in the order of their values."""
     n, d = emb.shape
     W = np.hstack([np.eye(d + 1), np.diag(np.r_[np.ones(d), 2.0])])
     model = EnsembleModel(W, GroupPartition((d + 1, d + 1)))
-    labels = np.asarray(labels)
+    names, labels = np.unique(labels, return_inverse=True)
     fs = FeatureSet(labels=labels, features=np.hstack([emb, np.ones((n, 1))]),
-                    n_classes=int(labels.max()) + 1)
+                    n_classes=len(names))
     return model, fs
 
 
@@ -328,6 +375,9 @@ class TestFusedSweep:
     @pytest.mark.parametrize("case", TIE_CASES, ids=lambda c: c.__name__[len("_case_"):])
     def test_tie_cases(self, monkeypatch, across_workers, case, exponent):
         monkeypatch.setattr(evaluate, "_BLOCK", 16)
+        # Only the rankings are checked here; with every label distinct there
+        # is no positive pair, and classifier_correlation refuses one pair.
+        monkeypatch.setattr(evaluate, "classifier_correlation", lambda *args: None)
         emb, labels, ks = case()
         self._reports(across_workers, *_tie_model(emb, labels), ks, exponent)
 
@@ -417,6 +467,14 @@ class TestFeatureCorrelation:
                 continue
             assert feature_correlation(F, part).hex() == want.hex()
         assert undefined > 0
+
+    def test_matches_triu_oracle_bytes_over_several_row_blocks(self):
+        # The column norms are summed _BLOCK rows at a time.
+        rng = make_rng(33)
+        for _ in range(20):
+            part = GroupPartition(tuple(int(s) for s in rng.integers(1, 40, size=3)))
+            F = rng.standard_normal((int(rng.integers(2, 3 * evaluate._BLOCK)), part.total_dim))
+            assert feature_correlation(F, part).hex() == triu_feature_correlation(F, part).hex()
 
     def test_no_usable_pair_raises(self):
         # Every column outside group 1 is constant: no cross-group pair is left.
@@ -561,10 +619,11 @@ class TestEvaluateModel:
         assert reports[1] == reports[0]
 
     def test_memory_bounded_in_embedding_arrays(self, set_workers):
-        # The feature correlation sets the peak at about 3.0 N x d arrays: F,
-        # its centered copy and the squares np.linalg.norm takes of that. The
-        # sweep runs after F is freed and holds about 2.2: the unit rows plus
-        # two 128 x N score buffers per worker.
+        # The classifier correlation sets the peak at about 2.5 N x d arrays:
+        # F and each group's two gathered pair ends. The feature correlation
+        # holds about 2.45 (F, its centered copy and 128 rows of squares), and
+        # the sweep, after F is freed, about 1.6: the label-sorted unit rows
+        # plus each worker's panel buffers.
         set_workers(2)
         fs = synth_gaussian(SynthSpec(classes=400, per_class=5, feature_dim=512, seed=1))
         model = init_model(make_rng(2), 512, preset_partition(512, 3))

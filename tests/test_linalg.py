@@ -377,13 +377,13 @@ class TestTracerSafety:
         for owner, attr, name, _ in _load_tracer_patches():
             monkeypatch.setattr(owner, attr, on_main(name, owner.__dict__[attr]))
         pool_threads = set()
-        rank_block = evaluate._rank_block
+        ahead = evaluate._ahead  # the sweep's ensemble count, in both phases
 
         def spy(*args):
             pool_threads.add(threading.current_thread())
-            return rank_block(*args)
+            return ahead(*args)
 
-        monkeypatch.setattr(evaluate, "_rank_block", spy)
+        monkeypatch.setattr(evaluate, "_ahead", spy)
 
         fs = synth_gaussian(SynthSpec(classes=200, per_class=10, feature_dim=64, seed=5))
         model = init_model(make_rng(6), 64, GroupPartition((32, 64)))

@@ -218,6 +218,37 @@ class TestBlockedUpdate:
         assert all(_same_bytes(opt.buffers["flat"][k], v) for k, v in snap.items())
         assert opt.t == 1
 
+    def test_adam_entry_just_below_the_bound_accepted(self):
+        # Its square is the largest below bound * bound: the one-pass check
+        # passes it, and v stays finite.
+        g = np.zeros(self.B + 3)
+        g[7] = np.nextafter(optim._ADAM_GRAD_BOUND, 0.0)
+        p = np.zeros_like(g)
+        opt = Optimizer(kind="adam", lr=0.1)
+        opt.step([p], [g])
+        assert opt.t == 1 and p[7] == -0.1
+        assert np.isfinite(opt.buffers["flat"]["v"]).all()
+
+    def test_adam_entry_at_the_bound_refused(self):
+        g = np.zeros(self.B + 3)
+        g[7] = -optim._ADAM_GRAD_BOUND
+        opt = Optimizer(kind="adam", lr=0.1)
+        with pytest.raises(NumericFailure, match=r"array 0 of shape \(24579,\) has an entry "
+                                                 r"with \|g\| >= 1\.341e\+154"):
+            opt.step([np.zeros_like(g)], [g])
+        assert opt.t == 0 and opt.layout is None
+
+    def test_adam_legal_entries_whose_squares_overflow_accepted(self):
+        # Each 1e154 is below the bound, but their squares sum past the
+        # float maximum: the per-entry check decides, and accepts.
+        g = np.full(self.B + 3, 1e154)
+        p = np.zeros_like(g)
+        opt = Optimizer(kind="adam", lr=0.1)
+        with np.errstate(all="raise"):  # the overflowed sum raises no warning either
+            opt.step([p], [g])
+        assert opt.t == 1 and np.allclose(p, -0.1)
+        assert np.isfinite(opt.buffers["flat"]["v"]).all()
+
     def test_sgd_accepts_a_gradient_adam_refuses(self):
         p = np.zeros(3)
         Optimizer(kind="sgd_momentum", lr=1e-10).step([p], [np.full(3, 1e160)])
